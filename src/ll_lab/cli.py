@@ -12,10 +12,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from struct import error as struct_error
@@ -45,19 +43,6 @@ def _fail_config(message: str) -> int:
     return 2
 
 
-def _thread_cap(n_jobs: int) -> int:
-    raw = os.environ.get("LL_LAB_THREADS")
-    cap = os.cpu_count() or 1
-    if raw is not None:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            print(f"warning: ignoring non-integer LL_LAB_THREADS={raw!r}",
-                  file=sys.stderr)
-            cap = 1
-    return max(1, min(n_jobs, cap))
-
-
 def _print_report(report: RunReport) -> None:
     n_pass = sum(1 for v in report.verdicts if v.passed)
     status = "PASS" if report.all_passed else ("ERROR" if report.error else "FAIL")
@@ -79,22 +64,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         dup = sorted({n for n in names if names.count(n) > 1})
         return _fail_config(f"duplicate scenario names in batch: {', '.join(dup)}")
 
-    workers = _thread_cap(len(configs))
-    reports: list[Optional[RunReport]] = [None] * len(configs)
-
-    def job(i: int) -> None:
+    reports = []
+    for cfg in configs:
         try:
-            reports[i] = run_scenario(configs[i])
+            reports.append(run_scenario(cfg))
         except Exception as exc:  # noqa: BLE001 -- report, do not crash the batch
-            reports[i] = RunReport(config=configs[i], samples=(), track=None,
-                                   verdicts=(), timings={}, error=f"{exc}")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(job, range(len(configs))))
+            reports.append(RunReport(config=cfg, samples=(), track=None,
+                                     verdicts=(), timings={}, error=f"{exc}"))
 
     exit_code = 0
     for report in reports:
-        assert report is not None
         write_report(report, args.out)
         _print_report(report)
         if not report.all_passed:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +36,7 @@ from .grid import (
     RealField,
     SpinState,
     VacuumBreakdown,
+    lowpass_array,
 )
 
 FieldPair = tuple[RealField, RealField]
@@ -59,7 +59,6 @@ class IntegratorConfig:
 
     dt: float
     t_end: float
-    scheme: str = "rk4"
     renormalize_spin: bool = True
     sample_stride: int = 1
     cfl_factor: float = 0.2
@@ -70,41 +69,10 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if self.scheme != "rk4":
-            raise ValueError(f"unknown scheme {self.scheme!r}; only 'rk4' is implemented")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if not (0.0 < self.cfl_factor <= 0.2828):
             raise ValueError(f"cfl_factor must lie in (0, 0.2828], got {self.cfl_factor}")
-
-
-@lru_cache(maxsize=32)
-def _spectral_ops(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(i*k with Nyquist zeroed, k^2) on the rfft layout."""
-    k = grid.rfft_wavenumbers
-    ik = 1j * k
-    ik[-1] = 0.0
-    k2 = k * k
-    return ik, k2
-
-
-@lru_cache(maxsize=32)
-def _sector_ops(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(twist, i*kk, kk^2) for antiperiodic transverse components."""
-    shift = np.pi / grid.period
-    twist = np.exp(1j * shift * (grid.x - grid.x_min))
-    kk = grid.wavenumbers + shift
-    return twist, 1j * kk, kk * kk
-
-
-@lru_cache(maxsize=32)
-def _full_ops(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(i*k with Nyquist zeroed, k^2) on the full fft layout."""
-    k = grid.wavenumbers
-    ik = 1j * k
-    ik = ik.copy()
-    ik[grid.n // 2] = 0.0
-    return ik, k * k
 
 
 def _check_vacuum(one_minus_v2: np.ndarray) -> None:
@@ -113,7 +81,7 @@ def _check_vacuum(one_minus_v2: np.ndarray) -> None:
 
 
 def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    ik, k2 = _spectral_ops(grid)
+    ik, k2 = grid.ik, grid.k2
     vhat = np.fft.rfft(v)
     dv = np.fft.irfft(ik * vhat, n=grid.n)
     d2v = np.fft.irfft(-k2 * vhat, n=grid.n)
@@ -127,15 +95,12 @@ def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> tuple[np.ndarra
 
 def _spin_rhs_arrays(m: np.ndarray, grid: Grid, sector: int) -> np.ndarray:
     mc = m[:, 0] + 1j * m[:, 1]
-    if sector:
-        twist, ikk, kk2 = _sector_ops(grid)
-        ghat = np.fft.fft(mc / twist)
-        d2c = twist * np.fft.ifft(-kk2 * ghat)
+    twist, _ikk, kk2 = grid.sector_multipliers[sector]
+    if twist is None:
+        d2c = np.fft.ifft(-kk2 * np.fft.fft(mc))
     else:
-        _ik, k2 = _full_ops(grid)
-        d2c = np.fft.ifft(-k2 * np.fft.fft(mc))
-    _ikr, k2r = _spectral_ops(grid)
-    d2r = np.fft.irfft(-k2r * np.fft.rfft(m[:, 2]), n=grid.n)
+        d2c = twist * np.fft.ifft(-kk2 * np.fft.fft(mc / twist))
+    d2r = np.fft.irfft(-grid.k2 * np.fft.rfft(m[:, 2]), n=grid.n)
     heff = np.empty_like(m)
     heff[:, 0] = d2c.real
     heff[:, 1] = d2c.imag
@@ -162,17 +127,15 @@ def apply_J(pair: FieldPair) -> FieldPair:
     """Skew operator J(f1, f2) = (f2', f1')."""
     f1, f2 = pair
     grid = f1.grid
-    ik, _ = _spectral_ops(grid)
-    d2 = np.fft.irfft(ik * np.fft.rfft(f2.values), n=grid.n)
-    d1 = np.fft.irfft(ik * np.fft.rfft(f1.values), n=grid.n)
+    d2 = np.fft.irfft(grid.ik * np.fft.rfft(f2.values), n=grid.n)
+    d1 = np.fft.irfft(grid.ik * np.fft.rfft(f1.values), n=grid.n)
     return RealField(grid, d2), RealField(grid, d1)
 
 
 def apply_L(state: HydroState) -> FieldPair:
     """Vacuum linearization L(v, w) = (-v + v'', -w)."""
     grid = state.grid
-    _, k2 = _spectral_ops(grid)
-    d2v = np.fft.irfft(-k2 * np.fft.rfft(state.v.values), n=grid.n)
+    d2v = np.fft.irfft(-grid.k2 * np.fft.rfft(state.v.values), n=grid.n)
     return RealField(grid, -state.v.values + d2v), RealField(grid, -state.w.values)
 
 
@@ -185,10 +148,9 @@ def apply_B(state: HydroState) -> FieldPair:
     grid = state.grid
     v = state.v.values
     w = state.w.values
-    ik, k2 = _spectral_ops(grid)
     vhat = np.fft.rfft(v)
-    dv = np.fft.irfft(ik * vhat, n=grid.n)
-    d2v = np.fft.irfft(-k2 * vhat, n=grid.n)
+    dv = np.fft.irfft(grid.ik * vhat, n=grid.n)
+    d2v = np.fft.irfft(-grid.k2 * vhat, n=grid.n)
     om = 1.0 - v * v
     _check_vacuum(om)
     b1 = d2v * v * v / om + dv * dv * v / (om * om) + v * w * w
@@ -218,16 +180,6 @@ def _rk4_spin(m, grid, sector, dt, renormalize):
     if renormalize:
         out /= np.sqrt(np.sum(out * out, axis=1))[:, None]
     return out
-
-
-@lru_cache(maxsize=32)
-def _dealias_mask_rfft(grid: Grid) -> np.ndarray:
-    k = grid.rfft_wavenumbers
-    return (np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))).astype(float)
-
-
-def _dealias_real(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.fft.irfft(_dealias_mask_rfft(grid) * np.fft.rfft(values), n=grid.n)
 
 
 def step_rk4(state: State, dt: float, renormalize_spin: bool = True) -> State:
@@ -314,15 +266,15 @@ def evolve(state: State, config: IntegratorConfig,
                 m = _rk4_spin(m, grid, sector, config.dt, config.renormalize_spin)
                 if config.dealias:
                     for col in range(3):
-                        m[:, col] = _dealias_real(m[:, col], grid)
+                        m[:, col] = lowpass_array(m[:, col], grid)
                     m /= np.sqrt(np.sum(m * m, axis=1))[:, None]
                 if not np.all(np.isfinite(m)):
                     raise BlowupError(f"non-finite spin values at step {step}")
             else:
                 v, w = _rk4_hydro(v, w, grid, config.dt)
                 if config.dealias:
-                    v = _dealias_real(v, grid)
-                    w = _dealias_real(w, grid)
+                    v = lowpass_array(v, grid)
+                    w = lowpass_array(w, grid)
                 if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
                     raise BlowupError(f"non-finite hydrodynamic values at step {step}")
         except (VacuumBreakdown, BlowupError) as exc:

@@ -79,6 +79,46 @@ class Grid:
     def rfft_wavenumbers(self) -> np.ndarray:
         return _frozen_array(2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx))
 
+    # The spectral multipliers below are built once per grid and shared by
+    # every derivative, right-hand side and filter in the package.
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """i*k on the rfft layout, with the Nyquist bin zeroed: that mode has
+        no well-defined odd derivative on the grid."""
+        ik = 1j * self.rfft_wavenumbers
+        ik[-1] = 0.0
+        return _frozen_array(ik, dtype=complex)
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """k^2 on the rfft layout."""
+        k = self.rfft_wavenumbers
+        return _frozen_array(k * k)
+
+    @cached_property
+    def lowpass(self) -> np.ndarray:
+        """Two-thirds-rule mask on the rfft layout: 1 up to index n//3, else 0."""
+        return _frozen_array(np.arange(self.n // 2 + 1) <= self.n // 3)
+
+    @cached_property
+    def sector_multipliers(self) -> tuple:
+        """(twist, i*kk, kk^2) on the full fft layout, indexed by phase sector.
+
+        Sector 0 has no twist (None) and kk = k with the Nyquist bin of i*kk
+        zeroed.  Sector 1 holds antiperiodic fields: the twist is
+        exp(i*pi*(x - x_min)/period) and kk = k + pi/period.
+        """
+        k = self.wavenumbers
+        ik = 1j * k
+        ik[self.n // 2] = 0.0
+        shift = np.pi / self.period
+        kk = k + shift
+        twist = np.exp(1j * shift * (self.x - self.x_min))
+        return ((None, _frozen_array(ik, dtype=complex), _frozen_array(k * k)),
+                (_frozen_array(twist, dtype=complex), _frozen_array(1j * kk, dtype=complex),
+                 _frozen_array(kk * kk)))
+
     def periodic_offset(self, x, center: float) -> np.ndarray:
         """Signed displacement x - center wrapped into [-period/2, period/2)."""
         half = 0.5 * self.period
@@ -99,19 +139,6 @@ class RealField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen_array(self.values, (self.grid.n,)))
-
-    def __add__(self, other: "RealField") -> "RealField":
-        _require_same_grid(self.grid, other.grid)
-        return RealField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "RealField") -> "RealField":
-        _require_same_grid(self.grid, other.grid)
-        return RealField(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "RealField":
-        return RealField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _require_same_grid(a: Grid, b: Grid) -> None:
@@ -189,16 +216,19 @@ class SpinState:
 # spectral calculus on raw arrays
 # ---------------------------------------------------------------------------
 
-def deriv_array(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Fourier collocation derivative of a real sample array."""
+def _derivative_multiplier(ik: np.ndarray, k2: np.ndarray, order: int) -> np.ndarray:
+    """(i*k)^order from the cached i*k and k^2 of one layout."""
     if order < 1:
         raise ValueError(f"derivative order must be >= 1, got {order}")
-    k = grid.rfft_wavenumbers
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        # the Nyquist mode has no well-defined odd derivative on the grid
-        mult = mult.copy()
-        mult[-1] = 0.0
+    if order == 1:
+        return ik
+    mult = (-k2) ** (order // 2)
+    return mult * ik if order % 2 else mult
+
+
+def deriv_array(values: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
+    """Fourier collocation derivative of a real sample array."""
+    mult = _derivative_multiplier(grid.ik, grid.k2, order)
     return np.fft.irfft(mult * np.fft.rfft(values), n=grid.n)
 
 
@@ -210,22 +240,13 @@ def complex_deriv_array(values: np.ndarray, grid: Grid, order: int = 1,
     exp(-i*pi*(x - x_min)/period), differentiated with wavenumbers shifted by
     pi/period, and re-twisted.
     """
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
-    vals = np.asarray(values, dtype=complex)
-    if phase_sector == 0:
-        k = grid.wavenumbers
-        mult = (1j * k) ** order
-        if order % 2 == 1:
-            mult = mult.copy()
-            mult[grid.n // 2] = 0.0
-        return np.fft.ifft(mult * np.fft.fft(vals))
-    if phase_sector != 1:
+    if phase_sector not in (0, 1):
         raise ValueError(f"phase_sector must be 0 or 1, got {phase_sector}")
-    shift = np.pi / grid.period
-    twist = np.exp(1j * shift * (grid.x - grid.x_min))
-    k = grid.wavenumbers + shift
-    mult = (1j * k) ** order
+    twist, ik, k2 = grid.sector_multipliers[phase_sector]
+    mult = _derivative_multiplier(ik, k2, order)
+    vals = np.asarray(values, dtype=complex)
+    if twist is None:
+        return np.fft.ifft(mult * np.fft.fft(vals))
     return twist * np.fft.ifft(mult * np.fft.fft(vals / twist))
 
 
@@ -237,6 +258,11 @@ def antiderivative_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = vhat / (1j * k)
     out[0] = 0.0
     return np.fft.irfft(out, n=grid.n)
+
+
+def lowpass_array(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Projection onto the modes kept by the two-thirds rule."""
+    return np.fft.irfft(grid.lowpass * np.fft.rfft(values), n=grid.n)
 
 
 def shift_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:

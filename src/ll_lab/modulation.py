@@ -1,11 +1,12 @@
 """Spectral decomposition of the soliton Hessian and modulation tracking.
 
 Around a profile Q_c the relevant self-adjoint operator is the constrained
-Hessian H_c = E''(Q_c) - c P''(Q_c).  It is applied matrix-free by a central
-finite difference of the first variation grad E - c grad P; its kernel
-contains the translation mode dQ_c/dx and it has exactly one negative
-direction chi_c, computed here by a preconditioned block Davidson iteration
-whose Rayleigh-Ritz values are certified by explicit residual norms.
+Hessian H_c = E''(Q_c) - c P''(Q_c).  It is applied matrix-free in closed
+form, as the exact Jacobian of the discrete first variation grad E - c grad P
+(see :func:`hessian_apply`); its kernel contains the translation mode dQ_c/dx
+and it has exactly one negative direction chi_c, computed here by a
+preconditioned block Davidson iteration whose Rayleigh-Ritz values are
+certified by explicit residual norms.
 
 ``modulate`` decomposes a state s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps
 orthogonal (in L^2) to every translation mode and every negative direction,
@@ -31,11 +32,13 @@ from .grid import (
     SpinState,
     deriv_array,
     integrate,
+    lowpass_array,
     shift_array,
     x_norm,
 )
 from .solitons import (
     MultiSolitonConfig,
+    _sum_profile_arrays,
     extract_hydro,
     soliton_hydro,
     soliton_hydro_derivative,
@@ -72,14 +75,11 @@ def grad_EP(state: HydroState) -> tuple[FieldPair, FieldPair]:
     return gradE, gradP
 
 
-def _pair_l2(h: FieldPair) -> float:
-    return math.sqrt(integrate(h[0].values ** 2 + h[1].values ** 2, h[0].grid))
-
-
 @dataclass(frozen=True, eq=False)
 class HessianOperator:
     """Matrix-free H_c = E''(Q_c) - c P''(Q_c) at the profile centered at
-    ``center`` (the domain midpoint when not given)."""
+    ``center`` (the domain midpoint when not given), in the closed form of
+    :func:`hessian_apply`."""
 
     c: float
     grid: Grid
@@ -101,72 +101,43 @@ class HessianOperator:
         return soliton_hydro_derivative(self.c, xi)
 
     @cached_property
-    def profile_norm(self) -> float:
-        v0, w0 = self.profile
-        return math.sqrt(integrate(v0 * v0 + w0 * w0, self.grid))
+    def coefficients(self) -> tuple[np.ndarray, ...]:
+        """(1/om, 2 v v'/om^2, potential, -2 v w - c, om) at the sampled
+        profile, with v' its spectral derivative and om = 1 - v^2."""
+        v, w = self.profile
+        dv = deriv_array(v, self.grid, 1)
+        om = 1.0 - v * v
+        inv = 1.0 / om
+        drift = 2.0 * v * dv * inv * inv
+        potential = dv * dv * (inv * inv + 4.0 * v * v * inv ** 3) - w * w + 1.0
+        return inv, drift, potential, -2.0 * v * w - self.c, om
+
+    def apply_arrays(self, h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H_c (h1, h2) on raw sample arrays."""
+        inv, drift, potential, coupling, om = self.coefficients
+        dh1 = deriv_array(h1, self.grid, 1)
+        flux = deriv_array(inv * dh1 + drift * h1, self.grid, 1)
+        return (-flux + drift * dh1 + potential * h1 + coupling * h2,
+                coupling * h1 + om * h2)
 
     def __call__(self, h: FieldPair) -> FieldPair:
         return hessian_apply(self, h)
 
 
-def _grad_e_arrays(state: HydroState) -> tuple[np.ndarray, np.ndarray]:
-    gradE, _ = grad_EP(state)
-    return gradE[0].values, gradE[1].values
-
-
 def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
-    """H_c h = [gradE(Q_c + d h) - gradE(Q_c - d h)]/(2d) - c (h2, h1).
+    """H_c h as the exact Jacobian of the discrete grad E - c grad P at Q_c.
 
-    Only E'' needs differencing; P'' is applied exactly.  The step is
-    d = 1e-5 * ||Q_c|| / ||h|| in L^2, making the operator exactly
-    homogeneous of degree one in h.
+    With D the spectral derivative, v' = D v and om = 1 - v^2 at the profile,
+
+        (H h)_1 = -D(D h1/om + 2 v v' h1/om^2) + 2 v v' D h1/om^2
+                  + [v'^2 (1/om^2 + 4 v^2/om^3) - w^2 + 1] h1 - 2 v w h2 - c h2,
+        (H h)_2 = -2 v w h1 + om h2 - c h1.
+
+    D is skew on the grid, so the operator is linear and symmetric to
+    rounding.
     """
-    grid = op.grid
-    hnorm = _pair_l2(h)
-    if hnorm == 0.0:
-        zero = RealField(grid, np.zeros(grid.n))
-        return zero, zero
-    delta = 1e-5 * op.profile_norm / hnorm
-    v0, w0 = op.profile
-    plus = HydroState.from_arrays(grid, v0 + delta * h[0].values, w0 + delta * h[1].values)
-    minus = HydroState.from_arrays(grid, v0 - delta * h[0].values, w0 - delta * h[1].values)
-    gp1, gp2 = _grad_e_arrays(plus)
-    gm1, gm2 = _grad_e_arrays(minus)
-    inv = 0.5 / delta
-    return (RealField(grid, (gp1 - gm1) * inv - op.c * h[1].values),
-            RealField(grid, (gp2 - gm2) * inv - op.c * h[0].values))
-
-
-def _hessian_apply_vec4(op: HessianOperator, x: np.ndarray) -> np.ndarray:
-    """Fourth-order differencing of grad E on a stacked vector, P'' exact.
-
-    The eigensolver needs applies whose deviation from linearity sits well
-    below its residual targets; the cubic truncation term of the two-point
-    stencil is amplified by 1/(1-v^2)^3 near deep profiles, so it is
-    cancelled here with a four-point stencil at the same step.
-    """
-    grid = op.grid
-    n = grid.n
-    nrm = math.sqrt(grid.dx) * float(np.linalg.norm(x))
-    if nrm == 0.0:
-        return np.zeros(2 * n)
-    delta = 1e-5 * op.profile_norm / nrm
-    v0, w0 = op.profile
-    h1 = x[:n]
-    h2 = x[n:]
-
-    def grad_at(mult: float) -> tuple[np.ndarray, np.ndarray]:
-        state = HydroState.from_arrays(grid, v0 + mult * delta * h1, w0 + mult * delta * h2)
-        return _grad_e_arrays(state)
-
-    gm2 = grad_at(-2.0)
-    gm1 = grad_at(-1.0)
-    gp1 = grad_at(1.0)
-    gp2 = grad_at(2.0)
-    inv = 1.0 / (12.0 * delta)
-    out1 = (gm2[0] - 8.0 * gm1[0] + 8.0 * gp1[0] - gp2[0]) * inv - op.c * h2
-    out2 = (gm2[1] - 8.0 * gm1[1] + 8.0 * gp1[1] - gp2[1]) * inv - op.c * h1
-    return np.concatenate([out1, out2])
+    o1, o2 = op.apply_arrays(h[0].values, h[1].values)
+    return RealField(op.grid, o1), RealField(op.grid, o2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +236,14 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
     """
     op = HessianOperator(c, grid, center)
     n = grid.n
-    k2 = grid.rfft_wavenumbers ** 2
-    keep = np.arange(k2.size) <= n // 3
+    k2 = grid.k2
+    keep = grid.lowpass
 
-    def lowpass_vec(x: np.ndarray) -> np.ndarray:
-        r1 = np.fft.rfft(x[:n])
-        r2 = np.fft.rfft(x[n:])
-        r1[~keep] = 0.0
-        r2[~keep] = 0.0
-        return np.concatenate([np.fft.irfft(r1, n=n), np.fft.irfft(r2, n=n)])
+    def lowpass_pair(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+        return np.concatenate([lowpass_array(f1, grid), lowpass_array(f2, grid)])
 
     def apply_vec(x: np.ndarray) -> np.ndarray:
-        return lowpass_vec(_hessian_apply_vec4(op, x))
+        return lowpass_pair(*op.apply_arrays(x[:n], x[n:]))
 
     def precond_vec(r: np.ndarray, theta: float = 0.0) -> np.ndarray:
         # inverse of the shifted vacuum symbol [[k^2+1-t, -c], [-c, 1-t]];
@@ -287,17 +254,15 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
         r2 = np.fft.rfft(r[n:])
         g1 = ((1.0 - t) * r1 + c * r2) / det
         g2 = (c * r1 + (k2 + 1.0 - t) * r2) / det
-        g1[~keep] = 0.0
-        g2[~keep] = 0.0
-        return np.concatenate([np.fft.irfft(g1, n=n), np.fft.irfft(g2, n=n)])
+        return np.concatenate([np.fft.irfft(keep * g1, n=n), np.fft.irfft(keep * g2, n=n)])
 
     v0, w0 = op.profile
     dv0, dw0 = op.profile_derivative
     rng = np.random.default_rng(2024)
     rand = rng.standard_normal((2 * n, 2))
     x0 = np.column_stack([
-        lowpass_vec(np.concatenate([v0, w0])),
-        lowpass_vec(np.concatenate([dv0, dw0])),
+        lowpass_pair(v0, w0),
+        lowpass_pair(dv0, dw0),
         precond_vec(rand[:, 0]),
         precond_vec(rand[:, 1]),
     ])
@@ -374,14 +339,7 @@ def _guarded_sum(speeds, centers, signs, grid: Grid,
         raise ModulationError(
             f"speed out of range: speeds {list(speeds)} left "
             f"[{speed_margin}, {1.0 - speed_margin}] in magnitude")
-    v = np.zeros(grid.n)
-    w = np.zeros(grid.n)
-    for c, a, s in zip(speeds, centers, signs):
-        xi = grid.periodic_offset(grid.x, a)
-        vj, wj = soliton_hydro(c, xi)
-        v += s * vj
-        w += s * wj
-    return v, w
+    return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,

@@ -280,12 +280,10 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
 
     int_obj = _expect_object(top["integrator"], f"{path}.integrator",
                              required=("dt", "t_end"),
-                             optional=("scheme", "renormalize_spin", "sample_stride",
-                                       "cfl_factor", "dealias"))
+                             optional=("renormalize_spin", "sample_stride", "cfl_factor",
+                                       "dealias"))
     kwargs: dict[str, Any] = {"dt": _real(int_obj["dt"], f"{path}.integrator.dt"),
                               "t_end": _real(int_obj["t_end"], f"{path}.integrator.t_end")}
-    if "scheme" in int_obj:
-        kwargs["scheme"] = _string(int_obj["scheme"], f"{path}.integrator.scheme")
     if "renormalize_spin" in int_obj:
         if not isinstance(int_obj["renormalize_spin"], bool):
             raise ConfigError(f"{path}.integrator.renormalize_spin: expected a boolean")

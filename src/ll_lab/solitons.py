@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -158,22 +158,16 @@ class SpeedGaps:
 
     mu  = min_j |c_j|                    distance to the stationary speed,
     nu  = min_j sqrt(1 - c_j^2)          smallest amplitude parameter,
-    delta = half the least gap within (-1, c_1, ..., c_N, 1),
-    lam = the same quantity for an interlacing reference vector gamma,
-          or None when no gamma was supplied.
+    delta = half the least gap within (-1, c_1, ..., c_N, 1).
     """
 
     mu: float
     nu: float
     delta: float
-    lam: Optional[float] = None
 
 
-def speed_gaps(speeds: Sequence[float], gamma: Optional[Sequence[float]] = None) -> SpeedGaps:
-    """Spacing constants of an increasing speed vector, optionally with a
-    reference vector gamma that must interlace: c_{j-1} < gamma_j < c_j with
-    c_0 = -1 and c_{N+1} = +1.
-    """
+def speed_gaps(speeds: Sequence[float]) -> SpeedGaps:
+    """Spacing constants of an increasing speed vector."""
 
     c = np.asarray(speeds, dtype=float)
     if c.ndim != 1 or len(c) < 1:
@@ -186,18 +180,7 @@ def speed_gaps(speeds: Sequence[float], gamma: Optional[Sequence[float]] = None)
     nu = float(np.min(np.sqrt(1.0 - c * c)))
     fence = np.concatenate([[-1.0], c, [1.0]])
     delta = 0.5 * float(np.min(np.diff(fence)))
-    lam = None
-    if gamma is not None:
-        g = np.asarray(gamma, dtype=float)
-        if g.shape != (len(c) + 1,):
-            raise ValueError(f"gamma must have length N + 1 = {len(c) + 1}, got {g.shape}")
-        lo = np.concatenate([[-1.0], c])
-        hi = np.concatenate([c, [1.0]])
-        if np.any(g <= lo) or np.any(g >= hi):
-            raise ValueError("gamma must interlace the speeds: c_(j-1) < gamma_j < c_j")
-        gaps = np.concatenate([g - lo, hi - g])
-        lam = 0.5 * float(np.min(gaps))
-    return SpeedGaps(mu=mu, nu=nu, delta=delta, lam=lam)
+    return SpeedGaps(mu=mu, nu=nu, delta=delta)
 
 
 def _sum_profile_arrays(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

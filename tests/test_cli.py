@@ -102,8 +102,7 @@ class TestSimulate:
         payload = json.loads((out / "doomed" / "report.json").read_text())
         assert payload["error"]
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LL_LAB_THREADS", "1")
+    def test_batch_runs_every_config(self, tmp_path):
         a = copy.deepcopy(TINY)
         a["name"] = "first"
         b = copy.deepcopy(TINY)
@@ -114,13 +113,6 @@ class TestSimulate:
         assert main(["simulate", str(pa), str(pb), "--out", str(out)]) == 0
         assert (out / "first" / "report.json").is_file()
         assert (out / "second" / "report.json").is_file()
-
-    def test_invalid_thread_env_still_runs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LL_LAB_THREADS", "zero")
-        cfg = write_config(tmp_path, TINY)
-        out = tmp_path / "out"
-        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
-        assert "LL_LAB_THREADS" in capsys.readouterr().err
 
 
 class TestSolitonTable:

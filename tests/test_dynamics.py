@@ -23,15 +23,12 @@ def soliton_state(c, grid, a=0.0):
 class TestIntegratorConfig:
     def test_accepts_sane_values(self):
         cfg = IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=10)
-        assert cfg.scheme == "rk4"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=0)
         with pytest.raises(ValueError):

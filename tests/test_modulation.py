@@ -60,9 +60,7 @@ class TestNegativeMode:
         r1 = h1.values - mode.rayleigh * mode.chi[0].values
         r2 = h2.values - mode.rayleigh * mode.chi[1].values
         res = math.sqrt(integrate(r1 * r1 + r2 * r2, ORACLE_GRID))
-        # hessian_apply uses the 2-point stencil, a touch rougher than the
-        # solver's internal 4-point one
-        assert res < 1e-4
+        assert res < 1e-6
 
     def test_speed_validation(self):
         with pytest.raises(ValueError):
@@ -86,7 +84,7 @@ class TestHessianOperator:
             h2 = self._smooth_pair(seed + 100)
             lhs = pair_dot(hessian_apply(self.op, h1), h2, self.grid)
             rhs = pair_dot(h1, hessian_apply(self.op, h2), self.grid)
-            assert abs(lhs - rhs) <= 1e-8 * pair_l2(h1) * pair_l2(h2)
+            assert abs(lhs - rhs) <= 1e-12 * pair_l2(h1) * pair_l2(h2)
 
     def test_homogeneity(self):
         h = self._smooth_pair(7)
@@ -96,6 +94,34 @@ class TestHessianOperator:
         out3 = hessian_apply(self.op, scaled)
         assert np.max(np.abs(out3[0].values - 3.0 * out1[0].values)) < 1e-9
         assert np.max(np.abs(out3[1].values - 3.0 * out1[1].values)) < 1e-9
+        # additivity: H(a + b) = Ha + Hb
+        g = self._smooth_pair(8)
+        out_g = hessian_apply(self.op, g)
+        total = (RealField(self.grid, h[0].values + g[0].values),
+                 RealField(self.grid, h[1].values + g[1].values))
+        out_sum = hessian_apply(self.op, total)
+        diff = (RealField(self.grid, out_sum[0].values - out1[0].values - out_g[0].values),
+                RealField(self.grid, out_sum[1].values - out1[1].values - out_g[1].values))
+        assert pair_l2(diff) <= 1e-12 * (pair_l2(out1) + pair_l2(out_g))
+
+    @pytest.mark.parametrize("c", [0.3, -0.6, 0.9])
+    def test_matches_central_difference_of_grad(self, c):
+        """The closed form against the 2-point central difference of grad E,
+        with P'' applied exactly and the step scaled to the profile."""
+        op = HessianOperator(c, self.grid)
+        v0, w0 = op.profile
+        h = self._smooth_pair(11)
+        d = 1e-5 * math.sqrt(integrate(v0 * v0 + w0 * w0, self.grid)) / pair_l2(h)
+        plus = HydroState.from_arrays(self.grid, v0 + d * h[0].values, w0 + d * h[1].values)
+        minus = HydroState.from_arrays(self.grid, v0 - d * h[0].values, w0 - d * h[1].values)
+        (gp1, gp2), _ = grad_EP(plus)
+        (gm1, gm2), _ = grad_EP(minus)
+        fd1 = (gp1.values - gm1.values) / (2.0 * d) - c * h[1].values
+        fd2 = (gp2.values - gm2.values) / (2.0 * d) - c * h[0].values
+        out = hessian_apply(op, h)
+        err = math.sqrt(integrate((out[0].values - fd1) ** 2 + (out[1].values - fd2) ** 2,
+                                  self.grid))
+        assert err <= 1e-7 * math.sqrt(integrate(fd1 * fd1 + fd2 * fd2, self.grid))
 
     def test_translation_mode_in_kernel(self):
         op = HessianOperator(0.6, ORACLE_GRID)

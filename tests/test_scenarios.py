@@ -67,6 +67,7 @@ class TestConfigParsing:
         ({"diagnostics__window_half_width": 0.0}, "window_half_width"),
         ({"diagnostics__b_path": "zigzag"}, "b_path"),
         ({"diagnostics__gammas": [0.1]}, "gammas"),
+        ({"integrator__scheme": "rk4"}, "integrator.scheme: unknown key"),
     ])
     def test_malformed_configs_name_the_field(self, updates, needle):
         with pytest.raises(ConfigError, match=None) as info:

@@ -210,7 +210,6 @@ class TestSpeedGaps:
         gaps = speed_gaps([0.6])
         assert gaps.mu == pytest.approx(0.6)
         assert gaps.nu == pytest.approx(0.8)
-        assert gaps.lam is None
 
     def test_multi_speed_minima(self):
         gaps = speed_gaps([-0.5, 0.3, 0.9])
@@ -219,16 +218,7 @@ class TestSpeedGaps:
         # fence (-1, -0.5, 0.3, 0.9, 1) has least gap 0.1, so delta = 0.05
         assert gaps.delta == pytest.approx(0.05)
 
-    def test_gamma_fence(self):
-        gaps = speed_gaps([-0.5, 0.5], gamma=[-0.7, 0.0, 0.7])
-        # gaps from gamma to neighbours: (0.3, 0.5, 0.2) and (0.2, 0.5, 0.3)
-        assert gaps.lam == pytest.approx(0.1)
-
-    def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            speed_gaps([-0.5, 0.5], gamma=[-0.7, 0.7])  # wrong length
-        with pytest.raises(ValueError):
-            speed_gaps([-0.5, 0.5], gamma=[-0.7, 0.6, 0.8])  # not interlacing
+    def test_speed_validation(self):
         with pytest.raises(ValueError):
             speed_gaps([0.0, 0.5])  # zero speed
         with pytest.raises(ValueError):
