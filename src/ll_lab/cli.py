@@ -1,9 +1,28 @@
 """Command-line surface: scenario batches, modulation tracking of saved
 trajectories, the monotonicity and virial audits, and soliton tables.
 
-Exit codes: 0 when every verdict passes, 1 for runtime failures (the report
-is still written) or failing verdicts, 2 for malformed configs or missing
-input files (nothing is written).
+Every subcommand but ``soliton-table`` records its run as one
+:class:`~ll_lab.scenarios.RunReport` and writes it with ``write_report`` to
+``<out>/<name>/report.json`` (keys scenario, config, verdicts, timings,
+error).  Exit codes:
+
+- ``simulate``: 0 when every scenario passes every verdict; 1 when any
+  scenario fails a verdict or stops on a runtime failure (dynamics
+  breakdown, loss of modulation, any other exception), each report still
+  written; 2 for a missing or malformed config or duplicate scenario names,
+  with nothing written.
+- ``monotonicity-audit``: as ``simulate`` for its one scenario, judged on
+  the localized-momentum and rate verdicts only; 2 also when
+  ``diagnostics.y0_list`` is empty.
+- ``modulate-track``: 0 when every snapshot is decomposed and the Newton
+  iteration and orthogonality verdicts pass; 1 when the decomposition is
+  lost at some snapshot (the report and the rows before it are written) or
+  a verdict fails; 2 for a missing or unreadable trajectory or guess file,
+  with nothing written.
+- ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
+  run breaks down (the runs before it are written) or a margin is negative;
+  2 for an invalid option, with nothing written.
+- ``soliton-table``: 0 on success; 2 for an invalid option.
 """
 
 from __future__ import annotations
@@ -21,13 +40,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve, load_trajectory
+from .dynamics import IntegratorConfig, evolve, load_trajectory
 from .functionals import virial_U, virial_rate
 from .grid import Grid, HydroState, x_norm
-from .modulation import ModulationError, track_modulation, track_to_csv
+from .modulation import track_modulation
 from .scenarios import (
     ConfigError,
     RunReport,
+    ScenarioConfig,
+    Verdict,
     load_scenario,
     random_smooth_pair,
     run_scenario,
@@ -46,12 +67,21 @@ def _fail_config(message: str) -> int:
 def _print_report(report: RunReport) -> None:
     n_pass = sum(1 for v in report.verdicts if v.passed)
     status = "PASS" if report.all_passed else ("ERROR" if report.error else "FAIL")
-    line = (f"{report.config.name}: {status} "
+    line = (f"{report.name}: {status} "
             f"({n_pass}/{len(report.verdicts)} verdicts, "
             f"{report.timings.get('total', 0.0):.1f}s)")
     if report.error:
         line += f"  [{report.error}]"
     print(line)
+
+
+def _run(cfg: ScenarioConfig) -> RunReport:
+    """run_scenario, with any exception it raises recorded on the report."""
+    try:
+        return run_scenario(cfg)
+    except Exception as exc:  # noqa: BLE001 -- report, do not crash the batch
+        return RunReport(name=cfg.name, config=cfg.to_dict(), verdicts=(),
+                         timings={}, error=f"{exc}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -64,16 +94,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         dup = sorted({n for n in names if names.count(n) > 1})
         return _fail_config(f"duplicate scenario names in batch: {', '.join(dup)}")
 
-    reports = []
-    for cfg in configs:
-        try:
-            reports.append(run_scenario(cfg))
-        except Exception as exc:  # noqa: BLE001 -- report, do not crash the batch
-            reports.append(RunReport(config=cfg, samples=(), track=None,
-                                     verdicts=(), timings={}, error=f"{exc}"))
-
     exit_code = 0
-    for report in reports:
+    for report in [_run(cfg) for cfg in configs]:
         write_report(report, args.out)
         _print_report(report)
         if not report.all_passed:
@@ -89,7 +111,7 @@ def _cmd_monotonicity_audit(args: argparse.Namespace) -> int:
     if not cfg.diagnostics.y0_list:
         return _fail_config(f"{args.config}: diagnostics.y0_list must be non-empty "
                             "for a monotonicity audit")
-    report = run_scenario(cfg)
+    report = _run(cfg)
     audited = tuple(v for v in report.verdicts
                     if v.name.startswith("monotonicity") or v.name == "rate_fd_match")
     report = replace(report, verdicts=audited)
@@ -129,43 +151,23 @@ def _cmd_modulate_track(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail_config(str(exc))
 
-    out_dir = Path(args.out) / Path(args.trajectory).stem
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    error = None
-    track = None
-    try:
-        track = track_modulation(traj, guess)
-    except ModulationError as exc:
-        error = str(exc)
-        cut = getattr(exc, "snapshot_index", 0)
-        if cut >= 1:
-            partial = Trajectory(frame=traj.frame, grid=traj.grid,
-                                 times=traj.times[:cut], states=traj.states[:cut])
-            track = track_modulation(partial, guess)
+    track = track_modulation(traj, guess)
     wall = time.perf_counter() - t0
 
-    verdicts = []
-    if track is not None:
-        track_to_csv(track, out_dir / "modulation.csv")
+    verdicts = ()
+    if len(track.times):
         max_iters = int(np.max(track.newton_iters))
         max_ortho = float(np.max(track.orthogonality))
-        verdicts = [{"name": "newton_iterations", "pass": max_iters <= 5,
-                     "measured": max_iters, "threshold": 5},
-                    {"name": "orthogonality", "pass": max_ortho <= 1e-9,
-                     "measured": max_ortho, "threshold": 1e-9}]
-    report = {"scenario": Path(args.trajectory).stem,
-              "verdicts": verdicts,
-              "timings": {"total": wall},
-              "error": error}
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    ok = error is None and all(v["pass"] for v in verdicts)
-    print(f"{report['scenario']}: {'PASS' if ok else 'FAIL'} "
-          f"({len(traj)} snapshots, {wall:.1f}s)"
-          + (f"  [{error}]" if error else ""))
-    return 0 if ok else 1
+        verdicts = (Verdict("newton_iterations", max_iters <= 5, max_iters, 5),
+                    Verdict("orthogonality", max_ortho <= 1e-9, max_ortho, 1e-9))
+    report = RunReport(name=Path(args.trajectory).stem,
+                       config={"trajectory": args.trajectory, "guess": args.guess},
+                       verdicts=verdicts, timings={"total": wall}, track=track,
+                       error=track.error)
+    write_report(report, args.out)
+    _print_report(report)
+    return 0 if report.all_passed else 1
 
 
 def _cmd_virial_audit(args: argparse.Namespace) -> int:
@@ -178,8 +180,6 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
 
     grid = Grid(n=2048, dx=0.1, x_min=-102.4)
     integ = IntegratorConfig(dt=2e-3, t_end=args.t_end, sample_stride=50)
-    out_dir = Path(args.out) / "virial-audit"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     verdicts = []
@@ -199,28 +199,21 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
             margin = rate - quarter
             margin_min = min(margin_min, margin)
             rows.append((k, float(t), virial_U(state), rate, quarter, margin))
-        verdicts.append({"name": f"coercivity_run{k}", "pass": margin_min >= 0.0,
-                         "measured": margin_min, "threshold": 0.0})
+        verdicts.append(Verdict(f"coercivity_run{k}", margin_min >= 0.0, margin_min, 0.0))
 
+    report = RunReport(name="virial-audit",
+                       config={"amplitude": args.amplitude, "seed": args.seed,
+                               "runs": args.runs, "t_end": args.t_end},
+                       verdicts=tuple(verdicts),
+                       timings={"total": time.perf_counter() - t0}, error=error)
+    out_dir = write_report(report, args.out)
     with open(out_dir / "virial.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "t", "U", "rate", "quarter_xnorm2", "margin"])
         for row in rows:
             writer.writerow([row[0]] + [_FMT % val for val in row[1:]])
-    report = {"scenario": "virial-audit",
-              "verdicts": verdicts,
-              "timings": {"total": time.perf_counter() - t0},
-              "error": error}
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    ok = error is None and all(v["pass"] for v in verdicts)
-    worst = min((v["measured"] for v in verdicts), default=math.nan)
-    print(f"virial-audit: {'PASS' if ok else 'FAIL'} "
-          f"({args.runs} runs, min margin {worst:.3e})"
-          + (f"  [{error}]" if error else ""))
-    return 0 if ok else 1
+    _print_report(report)
+    return 0 if report.all_passed else 1
 
 
 def _cmd_soliton_table(args: argparse.Namespace) -> int:

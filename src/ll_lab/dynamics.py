@@ -17,7 +17,8 @@ independently; agreement with the factored form is a grid-exact identity.
 
 Integration is classical RK4 on the spectral right-hand side with the
 stability restriction dt <= 0.2*dx^2 (the imaginary-axis stability span of
-RK4 against the k^2 dispersion at the grid cutoff).
+RK4 against the k^2 dispersion at the grid cutoff).  Spin-frame steps end by
+renormalizing m to unit length pointwise.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .grid import (
     RealField,
     SpinState,
     VacuumBreakdown,
-    lowpass_array,
 )
 
 FieldPair = tuple[RealField, RealField]
@@ -52,17 +52,13 @@ class IntegratorConfig:
     """Time-stepping parameters.
 
     dt must respect dt <= cfl_factor * dx^2; ``sample_stride`` controls how
-    many steps separate stored snapshots; ``dealias`` optionally applies a
-    2/3-rule spectral mask after every step (off by default, the quadratic
-    and cubic nonlinearities stay clean without it at these resolutions).
+    many steps separate stored snapshots.
     """
 
     dt: float
     t_end: float
-    renormalize_spin: bool = True
     sample_stride: int = 1
     cfl_factor: float = 0.2
-    dealias: bool = False
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -171,24 +167,23 @@ def _rk4_hydro(v, w, grid, dt):
             w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
-def _rk4_spin(m, grid, sector, dt, renormalize):
+def _rk4_spin(m, grid, sector, dt):
     k1 = _spin_rhs_arrays(m, grid, sector)
     k2 = _spin_rhs_arrays(m + 0.5 * dt * k1, grid, sector)
     k3 = _spin_rhs_arrays(m + 0.5 * dt * k2, grid, sector)
     k4 = _spin_rhs_arrays(m + dt * k3, grid, sector)
     out = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if renormalize:
-        out /= np.sqrt(np.sum(out * out, axis=1))[:, None]
+    out /= np.sqrt(np.sum(out * out, axis=1))[:, None]
     return out
 
 
-def step_rk4(state: State, dt: float, renormalize_spin: bool = True) -> State:
+def step_rk4(state: State, dt: float) -> State:
     """One classical RK4 step of the appropriate flow."""
     if isinstance(state, HydroState):
         v, w = _rk4_hydro(state.v.values, state.w.values, state.grid, dt)
         return HydroState.from_arrays(state.grid, v, w)
     if isinstance(state, SpinState):
-        m = _rk4_spin(state.m, state.grid, state.phase_sector, dt, renormalize_spin)
+        m = _rk4_spin(state.m, state.grid, state.phase_sector, dt)
         return SpinState(state.grid, m, state.phase_sector)
     raise TypeError(f"cannot step object of type {type(state).__name__}")
 
@@ -263,18 +258,11 @@ def evolve(state: State, config: IntegratorConfig,
     for step in range(1, nsteps + 1):
         try:
             if is_spin:
-                m = _rk4_spin(m, grid, sector, config.dt, config.renormalize_spin)
-                if config.dealias:
-                    for col in range(3):
-                        m[:, col] = lowpass_array(m[:, col], grid)
-                    m /= np.sqrt(np.sum(m * m, axis=1))[:, None]
+                m = _rk4_spin(m, grid, sector, config.dt)
                 if not np.all(np.isfinite(m)):
                     raise BlowupError(f"non-finite spin values at step {step}")
             else:
                 v, w = _rk4_hydro(v, w, grid, config.dt)
-                if config.dealias:
-                    v = lowpass_array(v, grid)
-                    w = lowpass_array(w, grid)
                 if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
                     raise BlowupError(f"non-finite hydrodynamic values at step {step}")
         except (VacuumBreakdown, BlowupError) as exc:

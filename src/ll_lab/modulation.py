@@ -12,7 +12,9 @@ certified by explicit residual norms.
 orthogonal (in L^2) to every translation mode and every negative direction,
 solving the 2N orthogonality conditions for (c_j, a_j) by Newton iteration.
 ``track_modulation`` runs this along a trajectory with warm starts, reusing
-each chi_{c_j} until the tracked speed has moved more than a tolerance.
+each chi_{c_j} until the tracked speed has moved more than a tolerance; the
+snapshot where the decomposition is lost ends the track and is recorded on
+``ModulationTrack.error``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .grid import (
     HydroState,
     RealField,
     SpinState,
+    VacuumBreakdown,
     deriv_array,
     integrate,
     lowpass_array,
@@ -47,8 +50,8 @@ from .solitons import (
 
 
 class ModulationError(RuntimeError):
-    """Newton decomposition failed (no convergence, ordering lost, or a
-    speed left the admissible range)."""
+    """Newton decomposition failed (no convergence, ordering lost, a speed
+    left the admissible range, or no certified negative direction)."""
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +234,9 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
 
     Tracks the three lowest Ritz pairs; eigenvalues are counted as negative
     below -1e-6 and only residual-certified pairs participate in the count.
-    Raises RuntimeError when the count differs from one or when an
-    uncertified pair sits below the counting threshold.
+    Raises :class:`ModulationError` when the lowest pair is not certified,
+    when the count differs from one, or when an uncertified pair sits below
+    the counting threshold.
     """
     op = HessianOperator(c, grid, center)
     n = grid.n
@@ -270,18 +274,18 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
                                              tol_first=tol_first, tol_rest=tol_certify,
                                              maxiter=maxiter)
     if res[0] > tol_first:
-        raise RuntimeError(
+        raise ModulationError(
             f"eigensolver did not certify the lowest pair: residual {res[0]:.3e} "
             f"after {iters} iterations at c = {c}")
     certified = res <= tol_certify
     below = thetas < -1e-6
     if np.any(below & ~certified):
-        raise RuntimeError(
+        raise ModulationError(
             f"uncertified Ritz value below the counting threshold at c = {c}: "
             f"thetas {thetas}, residuals {res}")
     count = int(np.sum(below & certified))
     if count != 1:
-        raise RuntimeError(
+        raise ModulationError(
             f"expected exactly one negative eigenvalue at c = {c}, found {count} "
             f"(thetas {thetas}, residuals {res})")
 
@@ -334,10 +338,10 @@ class ModulationResult:
 def _guarded_sum(speeds, centers, signs, grid: Grid,
                  speed_margin: float) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(speeds) <= 0.0):
-        raise ModulationError(f"ordering lost: speeds {list(speeds)} are not increasing")
+        raise ModulationError(f"ordering lost: speeds {speeds.tolist()} are not increasing")
     if np.any(np.abs(speeds) >= 1.0 - speed_margin) or np.any(np.abs(speeds) <= speed_margin):
         raise ModulationError(
-            f"speed out of range: speeds {list(speeds)} left "
+            f"speed out of range: speeds {speeds.tolist()} left "
             f"[{speed_margin}, {1.0 - speed_margin}] in magnitude")
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
@@ -450,7 +454,12 @@ def modulate(state: HydroState, guess: MultiSolitonConfig,
 @dataclass(frozen=True, eq=False)
 class ModulationTrack:
     """Modulation parameters along a trajectory, with centered-difference
-    estimates of the parameter rates."""
+    estimates of the parameter rates.
+
+    ``error`` is None when every snapshot was decomposed, otherwise the
+    reason the decomposition was lost at the first snapshot that failed;
+    the rows stop just before that snapshot.
+    """
 
     times: np.ndarray
     speeds: np.ndarray        # (T, N)
@@ -459,7 +468,7 @@ class ModulationTrack:
     eps_norms: np.ndarray
     orthogonality: np.ndarray
     newton_iters: np.ndarray
-    epsilons: tuple
+    error: Optional[str] = None
 
     @property
     def n_solitons(self) -> int:
@@ -482,11 +491,15 @@ def _as_hydro(state) -> HydroState:
     raise TypeError(f"cannot take modulation of {type(state).__name__}")
 
 
-def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
-                     keep_epsilons: bool = False) -> ModulationTrack:
+def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationTrack:
     """Run the Newton decomposition at every snapshot, warm starting each
     solve from the previous parameters and reusing cached negative
-    directions until a speed drifts by more than the cache threshold."""
+    directions until a speed drifts by more than the cache threshold.
+
+    Tracking stops at the first snapshot that cannot be decomposed (a
+    :class:`ModulationError` or a :class:`VacuumBreakdown`); the track keeps
+    the rows before it and names the failure and its time in ``error``.
+    """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     grid = traj.grid
@@ -498,36 +511,34 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
     eps_norms = np.empty(len(traj))
     ortho = np.empty(len(traj))
     iters = np.empty(len(traj), dtype=int)
-    epsilons = []
+    error = None
+    done = len(traj)
 
     warm_speeds = np.array(guess.speeds, dtype=float)
     warm_centers = np.array(guess.centers, dtype=float)
     signs_f = guess.signs.astype(float)
     for i, snap in enumerate(traj.states):
-        hydro = _as_hydro(snap)
         try:
+            hydro = _as_hydro(snap)
             result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
                                    warm_speeds, warm_centers, signs_f, cache,
                                    max_iter=25, speed_margin=1e-3,
                                    state_norm=x_norm(hydro))
-        except ModulationError as exc:
-            err = ModulationError(f"at t = {times[i]:.6g}: {exc}")
-            err.timestamp = float(times[i])
-            err.snapshot_index = i
-            raise err from exc
+        except (ModulationError, VacuumBreakdown) as exc:
+            error = f"at t = {times[i]:.6g}: {exc}"
+            done = i
+            break
         speeds[i] = result.speeds
         centers[i] = result.centers
         eps_norms[i] = result.residual_norm
         ortho[i] = result.orthogonality
         iters[i] = result.newton_iters
-        if keep_epsilons:
-            epsilons.append(result.epsilon)
         warm_speeds = result.speeds
         warm_centers = result.centers
-    return ModulationTrack(times=times, speeds=speeds, centers=centers,
-                           signs=guess.signs.copy(), eps_norms=eps_norms,
-                           orthogonality=ortho, newton_iters=iters,
-                           epsilons=tuple(epsilons))
+    return ModulationTrack(times=times[:done], speeds=speeds[:done],
+                           centers=centers[:done], signs=guess.signs.copy(),
+                           eps_norms=eps_norms[:done], orthogonality=ortho[:done],
+                           newton_iters=iters[:done], error=error)
 
 
 def track_to_csv(track: ModulationTrack, path) -> None:

@@ -6,7 +6,8 @@ builds the initial state, evolves it in the requested frame, tracks the
 modulation parameters, samples the conserved and localized functionals along
 the tracked soliton paths, and turns the recorded series into pass/fail
 verdicts.  ``write_report`` emits diagnostics.csv, modulation.csv, and
-report.json; verdicts are pure functions of the emitted series.
+report.json for every subcommand's ``RunReport``; verdicts are pure
+functions of the emitted series.
 
 Configs are strict JSON: unknown keys are rejected with the offending field
 path, so a typo cannot silently fall back to a default.
@@ -38,7 +39,6 @@ from .functionals import (
 )
 from .grid import Grid, HydroState, SpinState, deriv_array, integrate, window_norm, x_norm
 from .modulation import (
-    ModulationError,
     ModulationTrack,
     negative_mode,
     track_modulation,
@@ -215,8 +215,7 @@ class ScenarioConfig:
                              "width": self.perturbation.width},
             "grid": {"n": self.grid.n, "dx": self.grid.dx, "x_min": self.grid.x_min},
             "integrator": {"dt": self.integrator.dt, "t_end": self.integrator.t_end,
-                           "sample_stride": self.integrator.sample_stride,
-                           "dealias": self.integrator.dealias},
+                           "sample_stride": self.integrator.sample_stride},
             "diagnostics": {"y0_list": list(self.diagnostics.y0_list),
                             "window_half_width": self.diagnostics.window_half_width,
                             "b_path": self.diagnostics.b_path},
@@ -280,23 +279,14 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
 
     int_obj = _expect_object(top["integrator"], f"{path}.integrator",
                              required=("dt", "t_end"),
-                             optional=("renormalize_spin", "sample_stride", "cfl_factor",
-                                       "dealias"))
+                             optional=("sample_stride", "cfl_factor"))
     kwargs: dict[str, Any] = {"dt": _real(int_obj["dt"], f"{path}.integrator.dt"),
                               "t_end": _real(int_obj["t_end"], f"{path}.integrator.t_end")}
-    if "renormalize_spin" in int_obj:
-        if not isinstance(int_obj["renormalize_spin"], bool):
-            raise ConfigError(f"{path}.integrator.renormalize_spin: expected a boolean")
-        kwargs["renormalize_spin"] = int_obj["renormalize_spin"]
     if "sample_stride" in int_obj:
         kwargs["sample_stride"] = _integer(int_obj["sample_stride"],
                                            f"{path}.integrator.sample_stride")
     if "cfl_factor" in int_obj:
         kwargs["cfl_factor"] = _real(int_obj["cfl_factor"], f"{path}.integrator.cfl_factor")
-    if "dealias" in int_obj:
-        if not isinstance(int_obj["dealias"], bool):
-            raise ConfigError(f"{path}.integrator.dealias: expected a boolean")
-        kwargs["dealias"] = int_obj["dealias"]
     try:
         integrator = IntegratorConfig(**kwargs)
     except ValueError as exc:
@@ -433,11 +423,19 @@ class Verdict:
 
 @dataclass(frozen=True)
 class RunReport:
-    config: ScenarioConfig
-    samples: tuple
-    track: Optional[ModulationTrack]
+    """The record of one run of any subcommand, written by ``write_report``.
+
+    ``name`` names the output directory, ``config`` echoes the run's inputs
+    as JSON, and ``samples`` and ``track`` feed diagnostics.csv and
+    modulation.csv when the run has them.
+    """
+
+    name: str
+    config: Mapping[str, Any]
     verdicts: tuple
     timings: Mapping[str, float]
+    samples: tuple = ()
+    track: Optional[ModulationTrack] = None
     error: Optional[str] = None
 
     @property
@@ -445,8 +443,8 @@ class RunReport:
         return self.error is None and all(v.passed for v in self.verdicts)
 
     def to_dict(self) -> dict:
-        return {"scenario": self.config.name,
-                "config": self.config.to_dict(),
+        return {"scenario": self.name,
+                "config": dict(self.config),
                 "verdicts": [v.to_dict() for v in self.verdicts],
                 "timings": dict(self.timings),
                 "error": self.error}
@@ -642,8 +640,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Build, evolve, track, diagnose, and judge one scenario.
 
     Dynamics and modulation failures are recorded on the report (with the
-    failing timestamp) instead of raised; whatever series were recorded up
-    to the failure still feed the verdicts.
+    time of failure) instead of raised; whatever series were recorded up to
+    the failure still feed the verdicts.
     """
     timings: dict[str, float] = {}
     error: Optional[str] = None
@@ -662,18 +660,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     t0 = time.perf_counter()
     hydro_traj = _hydro_view(traj)
-    track: Optional[ModulationTrack] = None
-    try:
-        track = track_modulation(hydro_traj, cfg.solitons)
-    except ModulationError as exc:
-        error = error or f"modulation: {exc}"
-        cut = getattr(exc, "snapshot_index", 0)
-        if cut >= 2:  # rate estimates need at least two tracked snapshots
-            partial = Trajectory(frame="hydro", grid=hydro_traj.grid,
-                                 times=hydro_traj.times[:cut],
-                                 states=hydro_traj.states[:cut])
-            track = track_modulation(partial, cfg.solitons)
-            hydro_traj = partial
+    track: Optional[ModulationTrack] = track_modulation(hydro_traj, cfg.solitons)
+    if track.error is not None:
+        error = error or f"modulation: {track.error}"
+        cut = len(track.times)
+        if cut < 2:  # rate estimates need at least two tracked snapshots
+            track = None
+        else:
+            hydro_traj = Trajectory(frame="hydro", grid=hydro_traj.grid,
+                                    times=hydro_traj.times[:cut],
+                                    states=hydro_traj.states[:cut])
             traj = Trajectory(frame=traj.frame, grid=traj.grid,
                               times=traj.times[:cut], states=traj.states[:cut],
                               error=traj.error)
@@ -692,14 +688,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 
     verdicts = _build_verdicts(cfg, samples, track, rate_fd_err)
     timings["total"] = time.perf_counter() - t_total
-    return RunReport(config=cfg, samples=samples, track=track,
-                     verdicts=tuple(verdicts), timings=timings, error=error)
+    return RunReport(name=cfg.name, config=cfg.to_dict(), verdicts=tuple(verdicts),
+                     timings=timings, samples=samples, track=track, error=error)
 
 
 def write_report(report: RunReport, out_root) -> Path:
-    """Write diagnostics.csv, modulation.csv, and report.json under
-    out_root/<scenario name>/ and return that directory."""
-    out_dir = Path(out_root) / report.config.name
+    """Write report.json, plus diagnostics.csv and modulation.csv when the
+    report carries samples and a track, under out_root/<report name>/ and
+    return that directory."""
+    out_dir = Path(out_root) / report.name
     out_dir.mkdir(parents=True, exist_ok=True)
     if report.samples:
         diagnostics_to_csv(report.samples, out_dir / "diagnostics.csv")

@@ -1,7 +1,8 @@
 """End-to-end checks of the command line interface.
 
 Exit code contract: 0 all verdicts pass, 1 runtime failure or failed verdict
-(reports still written), 2 malformed configuration (nothing written).
+(reports still written), 2 malformed configuration (nothing written).  Every
+subcommand that writes a report writes the same report.json schema.
 """
 
 import copy
@@ -12,9 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from ll_lab import (Grid, IntegratorConfig, MultiSolitonConfig, SolitonParams,
-                    evolve, multi_soliton_sum, save_trajectory, soliton_hydro)
+from ll_lab import (Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
+                    SolitonParams, SpinState, Trajectory, evolve, modulation,
+                    multi_soliton_sum, reconstruct_spin, save_trajectory,
+                    soliton_hydro)
 from ll_lab.cli import main
+
+REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "error"}
 
 TINY = {
     "name": "tiny",
@@ -101,6 +106,7 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == 1
         payload = json.loads((out / "doomed" / "report.json").read_text())
         assert payload["error"]
+        assert set(payload) == REPORT_KEYS
 
     def test_batch_runs_every_config(self, tmp_path):
         a = copy.deepcopy(TINY)
@@ -149,13 +155,15 @@ class TestSolitonTable:
 
 
 class TestModulateTrack:
-    def _trajectory_file(self, tmp_path):
+    def _trajectory(self):
         grid = Grid(n=512, dx=0.1, x_min=-25.6)
         cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
         state = multi_soliton_sum(cfg, grid)
-        traj = evolve(state, IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=250))
+        return evolve(state, IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=250))
+
+    def _trajectory_file(self, tmp_path, traj=None):
         path = tmp_path / "run.traj"
-        save_trajectory(traj, path)
+        save_trajectory(self._trajectory() if traj is None else traj, path)
         return path
 
     def _guess_file(self, tmp_path):
@@ -176,6 +184,53 @@ class TestModulateTrack:
         names = {d["name"] for d in payload["verdicts"]}
         assert "newton_iterations" in names
         assert "orthogonality" in names
+        assert set(payload) == REPORT_KEYS
+        assert payload["error"] is None
+        assert payload["config"] == {"trajectory": str(traj), "guess": str(guess)}
+
+    def test_vacuum_snapshot_recorded(self, tmp_path):
+        """A spin snapshot with m = e3 at one point has no hydrodynamic view:
+        tracking stops there, and the run is still reported."""
+        good = reconstruct_spin(self._trajectory().states[0])
+        m = np.array(good.m)
+        m[0] = (0.0, 0.0, 1.0)
+        bad = SpinState(good.grid, m, good.phase_sector)
+        traj = Trajectory(frame="spin", grid=good.grid, times=np.array([0.0, 0.25]),
+                          states=(good, bad))
+        path = self._trajectory_file(tmp_path, traj)
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(path), str(self._guess_file(tmp_path)),
+                     "--out", str(out)]) == 1
+        payload = json.loads((out / "run" / "report.json").read_text())
+        assert payload["error"].startswith("at t = 0.25")
+        assert set(payload) == REPORT_KEYS
+        rows = (out / "run" / "modulation.csv").read_text().strip().splitlines()
+        assert len(rows) == 2
+
+    def test_failing_snapshot_decomposed_once(self, tmp_path, monkeypatch):
+        """Each snapshot is decomposed once, the failing last one included;
+        the rows before the failure are not recomputed."""
+        good = self._trajectory()
+        vacuum = HydroState.from_arrays(good.grid, np.zeros(good.grid.n),
+                                        np.zeros(good.grid.n))
+        traj = Trajectory(frame="hydro", grid=good.grid,
+                          times=np.append(good.times, 0.75),
+                          states=good.states + (vacuum,))
+        path = self._trajectory_file(tmp_path, traj)
+        calls = []
+        raw = modulation._modulate_raw
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "_modulate_raw", counted)
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(path), str(self._guess_file(tmp_path)),
+                     "--out", str(out)]) == 1
+        assert len(calls) == len(traj)
+        rows = (out / "run" / "modulation.csv").read_text().strip().splitlines()
+        assert len(rows) == len(traj)
 
     def test_bad_magic_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.traj"
@@ -201,6 +256,18 @@ class TestMonotonicityAudit:
         names = {d["name"] for d in payload["verdicts"]}
         assert names == {"monotonicity_y5", "rate_fd_match"}
 
+    def test_runtime_failure_exit_one_report_written(self, tmp_path):
+        data = copy.deepcopy(TINY)
+        data["solitons"] = {"params": [{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
+                            "min_separation": 20.0}
+        data["perturbation"] = {"kind": "between_bump", "amplitude": 1.5}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["monotonicity-audit", str(cfg), "--out", str(out)]) == 1
+        payload = json.loads((out / "tiny" / "report.json").read_text())
+        assert "perturbed initial datum is invalid" in payload["error"]
+        assert set(payload) == REPORT_KEYS
+
     def test_empty_y0_list_rejected(self, tmp_path, capsys):
         data = copy.deepcopy(TINY)
         data["diagnostics"]["y0_list"] = []
@@ -222,6 +289,9 @@ class TestVirialAudit:
         payload = json.loads((audit / "report.json").read_text())
         verdicts = payload["verdicts"]
         assert all(d["pass"] for d in verdicts)
+        assert set(payload) == REPORT_KEYS
+        assert payload["config"] == {"amplitude": 0.01, "seed": 3, "runs": 1,
+                                     "t_end": 0.5}
         stdout = capsys.readouterr().out
         assert "PASS" in stdout
 

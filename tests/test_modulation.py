@@ -68,6 +68,11 @@ class TestNegativeMode:
         with pytest.raises(ValueError):
             negative_mode(0.0, ORACLE_GRID)
 
+    def test_uncertified_mode_is_a_modulation_error(self):
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        with pytest.raises(ModulationError, match="did not certify"):
+            negative_mode(0.4, grid, maxiter=1)
+
 
 class TestHessianOperator:
     def setup_method(self):
@@ -243,8 +248,9 @@ class TestModulate:
         racy = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
                                    SolitonParams(0.9995, 15.0)),
                                   min_separation=30.0)
-        with pytest.raises(ModulationError, match="speed out of range"):
+        with pytest.raises(ModulationError, match="speed out of range") as info:
             modulate(state, racy)
+        assert "np.float64" not in str(info.value)
 
     def test_no_convergence_reason(self):
         dv, dw = random_smooth_pair(self.grid, amplitude=0.05, seed=3)
@@ -265,6 +271,7 @@ class TestTrackModulation:
     def test_traveling_wave_track(self):
         traj, cfg = self._tw_trajectory()
         track = track_modulation(traj, cfg)
+        assert track.error is None
         assert track.n_solitons == 1
         assert np.max(np.abs(track.speeds - 0.5)) < 1e-6
         expected_centers = 0.5 * track.times
@@ -274,24 +281,19 @@ class TestTrackModulation:
         assert track.newton_iters[0] == 0
         assert np.max(track.eps_norms) < 1e-5
 
-    def test_keep_epsilons_flag(self):
-        traj, cfg = self._tw_trajectory()
-        with_eps = track_modulation(traj, cfg, keep_epsilons=True)
-        without = track_modulation(traj, cfg)
-        assert len(with_eps.epsilons) == len(traj)
-        assert without.epsilons == ()
-
     def test_error_carries_snapshot_position(self):
+        """A lost decomposition ends the track: the rows before it are kept
+        and the error names the time of the failing snapshot."""
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
         cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
         good = multi_soliton_sum(cfg, grid)
         vacuum = HydroState.from_arrays(grid, np.zeros(grid.n), np.zeros(grid.n))
         traj = Trajectory(frame="hydro", grid=grid, times=np.array([0.0, 0.25]),
                           states=(good, vacuum))
-        with pytest.raises(ModulationError) as info:
-            track_modulation(traj, cfg)
-        assert info.value.snapshot_index == 1
-        assert info.value.timestamp == pytest.approx(0.25)
+        track = track_modulation(traj, cfg)
+        assert len(track.times) == 1
+        assert track.speeds.shape == (1, 1)
+        assert track.error.startswith("at t = 0.25")
 
     def test_empty_trajectory_rejected(self):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)

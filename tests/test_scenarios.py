@@ -68,6 +68,9 @@ class TestConfigParsing:
         ({"diagnostics__b_path": "zigzag"}, "b_path"),
         ({"diagnostics__gammas": [0.1]}, "gammas"),
         ({"integrator__scheme": "rk4"}, "integrator.scheme: unknown key"),
+        ({"integrator__dealias": True}, "integrator.dealias: unknown key"),
+        ({"integrator__renormalize_spin": True},
+         "integrator.renormalize_spin: unknown key"),
     ])
     def test_malformed_configs_name_the_field(self, updates, needle):
         with pytest.raises(ConfigError, match=None) as info:
