@@ -10,7 +10,15 @@ certified by explicit residual norms.
 
 ``modulate`` decomposes a state s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps
 orthogonal (in L^2) to every translation mode and every negative direction,
-solving the 2N orthogonality conditions for (c_j, a_j) by Newton iteration.
+solving the 2N orthogonality conditions F_2j = s_j <eps, Q_j'> and
+F_2j+1 = s_j <eps, chi_j> for (c_j, a_j) by Newton iteration.  Each trial
+point is one evaluation of F and its exact Jacobian: eps moves by
+d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc; the translation rows
+add s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows
+add -s_j <eps, chi_j'> in a_j and have no c-derivative, since chi is held
+fixed between cache refreshes (see :func:`_modulate_raw`).  The profile
+derivatives come from the closed-form jet ``soliton_hydro_jet`` and
+(chi_j, chi_j') from one inverse transform of the mode's cached spectrum.
 ``track_modulation`` runs this along a trajectory with warm starts, reusing
 each chi_{c_j} until the tracked speed has moved more than a tolerance; the
 snapshot where the decomposition is lost ends the track and is recorded on
@@ -36,15 +44,15 @@ from .grid import (
     deriv_array,
     integrate,
     lowpass_array,
-    shift_array,
     x_norm,
 )
 from .solitons import (
     MultiSolitonConfig,
+    ProfileJet,
     _sum_profile_arrays,
     extract_hydro,
     soliton_hydro,
-    soliton_hydro_derivative,
+    soliton_hydro_jet,
     soliton_nu,
 )
 
@@ -101,7 +109,8 @@ class HessianOperator:
     @cached_property
     def profile_derivative(self) -> tuple[np.ndarray, np.ndarray]:
         xi = self.grid.periodic_offset(self.grid.x, self.center)
-        return soliton_hydro_derivative(self.c, xi)
+        dv, dw = soliton_hydro_jet(self.c, xi).dx
+        return dv, dw
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, ...]:
@@ -214,6 +223,19 @@ class NegativeMode:
     residual: float
     negative_count: int
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """rfft of the rows (chi_v, chi_w, chi_v', chi_w'), ' the spectral
+        derivative."""
+        hat = np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
+        return np.concatenate([hat, self.grid.ik * hat])
+
+    def shifted(self, center: float) -> np.ndarray:
+        """The rows (chi_v, chi_w, chi_v', chi_w') translated from the mode's
+        center to ``center`` by a Fourier phase ramp, shape (4, n)."""
+        phase = np.exp(-1j * self.grid.rfft_wavenumbers * (center - self.center))
+        return np.fft.irfft(phase * self._spectrum, n=self.grid.n)
+
 
 def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
                   tol_first: float = 2e-7, tol_certify: float = 1e-4,
@@ -302,16 +324,19 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
 
 class ChiCache:
     """Per-soliton cache of negative directions, refreshed only when the
-    tracked speed moves by more than ``refresh``."""
+    tracked speed moves by more than ``refresh``; ``solves`` counts the
+    calls of :func:`negative_mode` it made."""
 
     def __init__(self, grid: Grid, refresh: float = 5e-3):
         self.grid = grid
         self.refresh = refresh
+        self.solves = 0
         self._modes: dict[int, NegativeMode] = {}
 
     def mode_for(self, index: int, c: float) -> NegativeMode:
         mode = self._modes.get(index)
         if mode is None or abs(mode.c - c) > self.refresh:
+            self.solves += 1
             mode = negative_mode(c, self.grid)
             self._modes[index] = mode
         return mode
@@ -324,7 +349,13 @@ class ChiCache:
 @dataclass(frozen=True, eq=False)
 class ModulationResult:
     """Decomposition s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps orthogonal
-    to the translation modes and negative directions of every soliton."""
+    to the translation modes and negative directions of every soliton.
+
+    ``condition_evals`` counts the evaluations of the conditions and their
+    Jacobian (one at the starting point and one per Newton trial point, each
+    looking up chi once per soliton), ``backtracks`` the step halvings of
+    the line search.
+    """
 
     speeds: np.ndarray
     centers: np.ndarray
@@ -333,10 +364,14 @@ class ModulationResult:
     residual_norm: float
     orthogonality: float
     newton_iters: int
+    condition_evals: int
+    backtracks: int
 
 
 def _guarded_sum(speeds, centers, signs, grid: Grid,
-                 speed_margin: float) -> tuple[np.ndarray, np.ndarray]:
+                 speed_margin: float) -> tuple[np.ndarray, list[ProfileJet]]:
+    """The superposition sum_k s_k Q_k as a (2, n) array, with the profile
+    jet of every soliton, once the speeds pass the ordering and range guards."""
     if np.any(np.diff(speeds) <= 0.0):
         raise ModulationError(f"ordering lost: speeds {speeds.tolist()} are not increasing")
     if np.any(np.abs(speeds) >= 1.0 - speed_margin) or np.any(np.abs(speeds) <= speed_margin):
@@ -346,43 +381,81 @@ def _guarded_sum(speeds, centers, signs, grid: Grid,
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
+def _conditions(params: np.ndarray, state: np.ndarray, grid: Grid,
+                signs: np.ndarray, chi: ChiCache,
+                speed_margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conditions F, their exact Jacobian J (formulas in
+    :func:`_modulate_raw`) and eps, at p = params for the state (v, w)
+    given as a (2, n) array."""
+    nsol = len(signs)
+    speeds = params[:nsol]
+    centers = params[nsol:]
+    total, jets = _guarded_sum(speeds, centers, signs, grid, speed_margin)
+    eps = state - total
+
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        return integrate(a[0] * b[0] + a[1] * b[1], grid)
+
+    rows = np.empty((2 * nsol, 2, grid.n))    # Q_j', chi_j
+    cols = np.empty((2 * nsol, 2, grid.n))    # d eps/d c_k, d eps/d a_k
+    chis = []
+    f = np.empty(2 * nsol)
+    for j, jet in enumerate(jets):
+        shifted = chi.mode_for(j, speeds[j]).shifted(centers[j])
+        chis.append(shifted)
+        rows[2 * j] = jet.dx
+        rows[2 * j + 1] = shifted[:2]
+        cols[j] = -signs[j] * jet.dc
+        cols[nsol + j] = signs[j] * jet.dx
+        f[2 * j] = dot(eps, jet.dx) * signs[j]
+        f[2 * j + 1] = dot(eps, shifted[:2]) * signs[j]
+    jac = (rows.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
+    jac *= np.repeat(signs, 2)[:, None]
+    for j, (jet, shifted) in enumerate(zip(jets, chis)):
+        jac[2 * j, j] += signs[j] * dot(eps, jet.dcdx)
+        jac[2 * j, nsol + j] -= signs[j] * dot(eps, jet.dxx)
+        jac[2 * j + 1, nsol + j] -= signs[j] * dot(eps, shifted[2:])
+    return f, jac, eps
+
+
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                   speeds0: np.ndarray, centers0: np.ndarray, signs: np.ndarray,
                   chi: ChiCache, max_iter: int, speed_margin: float,
                   state_norm: float) -> ModulationResult:
-    nsol = len(speeds0)
+    """Newton iteration on the 2N conditions, p = (c_1..c_N, a_1..a_N),
 
-    def residual(params: np.ndarray) -> np.ndarray:
-        speeds = params[:nsol]
-        centers = params[nsol:]
-        total_v, total_w = _guarded_sum(speeds, centers, signs, grid, speed_margin)
-        ev = sv - total_v
-        ew = sw - total_w
-        out = np.empty(2 * nsol)
-        for j in range(nsol):
-            xi = grid.periodic_offset(grid.x, centers[j])
-            dvj, dwj = soliton_hydro_derivative(speeds[j], xi)
-            out[2 * j] = integrate(ev * dvj + ew * dwj, grid) * signs[j]
-            mode = chi.mode_for(j, speeds[j])
-            delta = centers[j] - mode.center
-            c1 = shift_array(mode.chi[0].values, grid, delta)
-            c2 = shift_array(mode.chi[1].values, grid, delta)
-            out[2 * j + 1] = integrate(ev * c1 + ew * c2, grid) * signs[j]
+        F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
+        eps = s - sum_k s_k Q_k,  Q_k = Q_{c_k}(. - a_k),
+
+    with chi_j the cached mode of soliton j translated to a_j.  Each trial
+    point is one evaluation returning F and its exact Jacobian: with
+    d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc,
+
+        dF_2j/dc_k   = -s_j s_k <dQ_k/dc, Q_j'> + [k = j] s_j <eps, dQ_j'/dc>,
+        dF_2j/da_k   =  s_j s_k <Q_k', Q_j'>    - [k = j] s_j <eps, Q_j''>,
+        dF_2j+1/dc_k = -s_j s_k <dQ_k/dc, chi_j>,
+        dF_2j+1/da_k =  s_j s_k <Q_k', chi_j>   - [k = j] s_j <eps, chi_j'>.
+
+    chi_j has no c-derivative: the cache holds it fixed between refreshes.
+    """
+    nsol = len(speeds0)
+    state = np.stack([sv, sw])
+    evals = 0
+
+    def conditions(params: np.ndarray):
+        nonlocal evals
+        out = _conditions(params, state, grid, signs, chi, speed_margin)
+        evals += 1
         return out
 
     p = np.concatenate([speeds0, centers0]).astype(float)
-    f = residual(p)
-    fd_step = 1e-6
+    f, jac, eps = conditions(p)
     iters = 0
+    backtracks = 0
     # drive the conditions to an absolute 1e-10, the floor of every
     # normalized tolerance below; Newton squares the error per step, so
     # this costs at most one iteration beyond the stated criterion
     while np.max(np.abs(f)) > 1e-10 and iters < max_iter:
-        jac = np.empty((2 * nsol, 2 * nsol))
-        for i in range(2 * nsol):
-            dp = p.copy()
-            dp[i] += fd_step
-            jac[:, i] = (residual(dp) - f) / fd_step
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
@@ -393,42 +466,40 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         # speed region count as non-reducing
         fmax = np.max(np.abs(f))
         scale = 1.0
-        trial = None
         while True:
             try:
-                cand = residual(p - scale * step)
+                trial = conditions(p - scale * step)
             except ModulationError:
-                cand = None
-            if cand is not None and (np.max(np.abs(cand)) < fmax
-                                     or scale <= 1.0 / 256.0):
-                trial = cand
+                trial = None
+            if trial is not None and (np.max(np.abs(trial[0])) < fmax
+                                      or scale <= 1.0 / 256.0):
                 break
             if scale <= 1.0 / 256.0:
                 # even the floor-damped point is inadmissible; surface the
                 # guard failure of the undamped step
-                residual(p - step)
+                full = p - step
+                _guarded_sum(full[:nsol], full[nsol:], signs, grid, speed_margin)
                 raise ModulationError("no convergence: damping floor reached")
             scale *= 0.5
+            backtracks += 1
         p = p - scale * step
-        f = trial
+        f, jac, eps = trial
         iters += 1
 
     ortho = float(np.max(np.abs(f)))
     if ortho > 1e-10 * (1.0 + state_norm):
         raise ModulationError(
             f"no convergence: orthogonality residual {ortho:.3e} after {iters} iterations")
-    speeds = p[:nsol]
-    centers = p[nsol:]
-    total_v, total_w = _guarded_sum(speeds, centers, signs, grid, speed_margin)
-    eps = HydroState.from_arrays(grid, sv - total_v, sw - total_w)
-    eps_norm = x_norm(eps)
+    epsilon = HydroState.from_arrays(grid, eps[0], eps[1])
+    eps_norm = x_norm(epsilon)
     if ortho > 1e-10 * (1.0 + eps_norm):
         raise ModulationError(
             f"no convergence: orthogonality residual {ortho:.3e} after {iters} iterations")
-    return ModulationResult(speeds=speeds.copy(), centers=centers.copy(),
-                            signs=np.array(signs, dtype=int), epsilon=eps,
+    return ModulationResult(speeds=p[:nsol].copy(), centers=p[nsol:].copy(),
+                            signs=np.array(signs, dtype=int), epsilon=epsilon,
                             residual_norm=eps_norm, orthogonality=ortho,
-                            newton_iters=iters)
+                            newton_iters=iters, condition_evals=evals,
+                            backtracks=backtracks)
 
 
 def modulate(state: HydroState, guess: MultiSolitonConfig,
@@ -458,7 +529,9 @@ class ModulationTrack:
 
     ``error`` is None when every snapshot was decomposed, otherwise the
     reason the decomposition was lost at the first snapshot that failed;
-    the rows stop just before that snapshot.
+    the rows stop just before that snapshot.  ``condition_evals`` and
+    ``backtracks`` total the counts of the decomposed snapshots, and
+    ``chi_solves`` counts the negative-mode solves of the whole track.
     """
 
     times: np.ndarray
@@ -469,10 +542,21 @@ class ModulationTrack:
     orthogonality: np.ndarray
     newton_iters: np.ndarray
     error: Optional[str] = None
+    condition_evals: int = 0
+    backtracks: int = 0
+    chi_solves: int = 0
 
     @property
     def n_solitons(self) -> int:
         return self.speeds.shape[1]
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The deterministic work counts of the track, for the run report."""
+        return {"newton_iters": int(np.sum(self.newton_iters)),
+                "condition_evals": self.condition_evals,
+                "backtracks": self.backtracks,
+                "chi_solves": self.chi_solves}
 
     @cached_property
     def center_rates(self) -> np.ndarray:
@@ -513,6 +597,8 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     iters = np.empty(len(traj), dtype=int)
     error = None
     done = len(traj)
+    evals = 0
+    backtracks = 0
 
     warm_speeds = np.array(guess.speeds, dtype=float)
     warm_centers = np.array(guess.centers, dtype=float)
@@ -533,12 +619,16 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
         eps_norms[i] = result.residual_norm
         ortho[i] = result.orthogonality
         iters[i] = result.newton_iters
+        evals += result.condition_evals
+        backtracks += result.backtracks
         warm_speeds = result.speeds
         warm_centers = result.centers
     return ModulationTrack(times=times[:done], speeds=speeds[:done],
                            centers=centers[:done], signs=guess.signs.copy(),
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
-                           newton_iters=iters[:done], error=error)
+                           newton_iters=iters[:done], error=error,
+                           condition_evals=evals, backtracks=backtracks,
+                           chi_solves=cache.solves)
 
 
 def track_to_csv(track: ModulationTrack, path) -> None:

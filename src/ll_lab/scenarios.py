@@ -427,7 +427,8 @@ class RunReport:
 
     ``name`` names the output directory, ``config`` echoes the run's inputs
     as JSON, and ``samples`` and ``track`` feed diagnostics.csv and
-    modulation.csv when the run has them.
+    modulation.csv when the run has them; the track's work counts are the
+    report's ``counters``, empty for a run without a track.
     """
 
     name: str
@@ -447,6 +448,7 @@ class RunReport:
                 "config": dict(self.config),
                 "verdicts": [v.to_dict() for v in self.verdicts],
                 "timings": dict(self.timings),
+                "counters": self.track.counters if self.track is not None else {},
                 "error": self.error}
 
 

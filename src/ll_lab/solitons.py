@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +75,54 @@ def soliton_hydro_derivative(c: float, x) -> tuple[np.ndarray, np.ndarray]:
     dv = -nu * v * np.tanh(nu * x)
     dw = c * dv * (1.0 + v * v) / (1.0 - v * v) ** 2
     return dv, dw
+
+
+class ProfileJet(NamedTuple):
+    """The hydrodynamic profile and the derivatives the modulation Newton
+    Jacobian needs, each as a stacked (v, w) array of shape (2,) + x.shape."""
+
+    q: np.ndarray       # Q_c
+    dx: np.ndarray      # Q_c'
+    dxx: np.ndarray     # Q_c''
+    dc: np.ndarray      # dQ_c/dc at fixed x
+    dcdx: np.ndarray    # dQ_c'/dc at fixed x
+
+
+def soliton_hydro_jet(c: float, x) -> ProfileJet:
+    """Q_c, its first two x-derivatives and its c-derivatives, from one cosh
+    and one tanh of nu*x.
+
+    With y = nu*x, t = tanh(y), om = 1 - v^2, g = (1 + v^2)/om^2 and
+    dnu/dc = -c/nu:
+
+        v' = -nu v t,                 v'' = v (nu^2 - 2 v^2),
+        w' = c g v',                  w'' = c (g v'' + 2 v (3 + v^2) v'^2 / om^3),
+        dv/dc = -c v (1 - y t)/nu^2,  dw/dc = v/om + c g dv/dc,
+        dv'/dc = (c/nu) v (2 t + y (2 v^2/nu^2 - 1)),
+        dw'/dc = g v' + c g dv'/dc + 2 c v (3 + v^2) v' dv/dc / om^3.
+
+    Q and Q' are evaluated exactly as in :func:`soliton_hydro` and
+    :func:`soliton_hydro_derivative`.
+    """
+    nu = soliton_nu(c)
+    x = np.asarray(x, dtype=float)
+    y = nu * x
+    v = nu / np.cosh(y)
+    t = np.tanh(y)
+    om = 1.0 - v * v
+    w = c * v / om
+    dv = -nu * v * t
+    dw = c * dv * (1.0 + v * v) / om ** 2
+    g = (1.0 + v * v) / (om * om)
+    dg = 2.0 * v * (3.0 + v * v) / om ** 3   # dg/dv
+    d2v = v * (nu * nu - 2.0 * v * v)
+    d2w = c * (g * d2v + dg * dv * dv)
+    cv = -c * v * (1.0 - y * t) / (nu * nu)
+    cw = v / om + c * g * cv
+    cdv = (c / nu) * v * (2.0 * t + y * (2.0 * v * v / (nu * nu) - 1.0))
+    cdw = g * dv + c * g * cdv + c * dg * dv * cv
+    return ProfileJet(np.stack([v, w]), np.stack([dv, dw]), np.stack([d2v, d2w]),
+                      np.stack([cv, cw]), np.stack([cdv, cdw]))
 
 
 def soliton_energy(c: float) -> float:
@@ -183,16 +231,16 @@ def speed_gaps(speeds: Sequence[float]) -> SpeedGaps:
     return SpeedGaps(mu=mu, nu=nu, delta=delta)
 
 
-def _sum_profile_arrays(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise sum of hydrodynamic profiles, centers wrapped periodically."""
-    v = np.zeros(grid.n)
-    w = np.zeros(grid.n)
-    for c, a, s in zip(speeds, centers, signs):
-        xi = grid.periodic_offset(grid.x, a)
-        vj, wj = soliton_hydro(c, xi)
-        v += s * vj
-        w += s * wj
-    return v, w
+def _sum_profile_arrays(speeds, centers, signs,
+                        grid: Grid) -> tuple[np.ndarray, list[ProfileJet]]:
+    """Pointwise sum of hydrodynamic profiles as a (2, n) array, centers
+    wrapped periodically, with the jet of every profile."""
+    jets = [soliton_hydro_jet(c, grid.periodic_offset(grid.x, a))
+            for c, a in zip(speeds, centers)]
+    total = np.zeros((2, grid.n))
+    for s, jet in zip(signs, jets):
+        total += s * jet.q
+    return total, jets
 
 
 def multi_soliton_sum(config: MultiSolitonConfig, grid: Grid) -> HydroState:
@@ -201,8 +249,8 @@ def multi_soliton_sum(config: MultiSolitonConfig, grid: Grid) -> HydroState:
     Raises ValueError if the summed amplitudes violate max|V| < 1 (the state
     constructor enforces it).
     """
-    v, w = _sum_profile_arrays(config.speeds, config.centers, config.signs, grid)
-    return HydroState.from_arrays(grid, v, w)
+    total, _ = _sum_profile_arrays(config.speeds, config.centers, config.signs, grid)
+    return HydroState.from_arrays(grid, total[0], total[1])
 
 
 def soliton_spin_state(c: float, a: float, grid: Grid) -> SpinState:

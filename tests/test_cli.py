@@ -19,7 +19,7 @@ from ll_lab import (Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
                     soliton_hydro)
 from ll_lab.cli import main
 
-REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "error"}
+REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "counters", "error"}
 
 TINY = {
     "name": "tiny",
@@ -231,6 +231,22 @@ class TestModulateTrack:
         assert len(calls) == len(traj)
         rows = (out / "run" / "modulation.csv").read_text().strip().splitlines()
         assert len(rows) == len(traj)
+
+    def test_counters_repeat_and_add_up(self, tmp_path):
+        """report.json counts the track's work deterministically: one
+        evaluation per snapshot start and per Newton trial point."""
+        traj = self._trajectory()
+        path = self._trajectory_file(tmp_path, traj)
+        guess = self._guess_file(tmp_path)
+        counters = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main(["modulate-track", str(path), str(guess), "--out", str(out)]) == 0
+            counters.append(json.loads((out / "run" / "report.json").read_text())["counters"])
+        assert counters[0] == counters[1]
+        c = counters[0]
+        assert set(c) == {"newton_iters", "condition_evals", "backtracks", "chi_solves"}
+        assert c["condition_evals"] == c["newton_iters"] + len(traj) + c["backtracks"]
+        assert c["chi_solves"] >= 1
 
     def test_bad_magic_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.traj"

@@ -16,6 +16,7 @@ from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfi
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
                     track_to_csv, x_norm)
 from ll_lab.grid import shift_array
+from ll_lab.modulation import _conditions
 from ll_lab.scenarios import random_smooth_pair
 
 # Frozen lowest eigenvalues of H_c on the period-102.4 grid (see module
@@ -258,6 +259,67 @@ class TestModulate:
         guess = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
         with pytest.raises(ModulationError):
             modulate(state, guess, max_iter=2)
+
+
+class TestConditionsJacobian:
+    """The closed-form Newton Jacobian against a central difference of the
+    conditions, with chi frozen (refresh=1.0) as between cache refreshes."""
+
+    grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+
+    @pytest.mark.parametrize("params", [
+        [(0.4, 0.0, 1)],
+        [(-0.6, 0.0, -1)],
+        [(-0.5, -15.0, 1), (0.5, 15.0, 1)],
+        [(-0.5, -15.0, 1), (0.5, 15.0, -1)],
+        [(-0.6, -25.0, 1), (0.3, 0.0, 1), (0.7, 25.0, 1)],
+        [(-0.6, -25.0, -1), (0.3, 0.0, 1), (0.7, 25.0, -1)],
+    ])
+    def test_matches_central_difference(self, params):
+        cfg = MultiSolitonConfig(tuple(SolitonParams(c, a, s) for c, a, s in params),
+                                 min_separation=10.0)
+        state = multi_soliton_sum(cfg, self.grid)
+        dv, dw = random_smooth_pair(self.grid, amplitude=0.02, seed=5)
+        perturbed = np.stack([state.v.values + dv, state.w.values + dw])
+        signs = cfg.signs.astype(float)
+        cache = ChiCache(self.grid, refresh=1.0)
+        # off the solution, so that every eps-weighted term is exercised
+        p0 = np.concatenate([cfg.speeds + 3e-3, cfg.centers + 0.05])
+
+        def conditions(p):
+            return _conditions(p, perturbed, self.grid, signs, cache, 1e-3)
+
+        _, jac, _ = conditions(p0)
+        h = 1e-5
+        fd = np.column_stack([(conditions(p0 + h * e)[0] - conditions(p0 - h * e)[0])
+                              / (2.0 * h) for e in np.eye(len(p0))])
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
+        assert cache.solves == len(params)
+
+    def test_chi_looked_up_only_at_newton_points(self):
+        """One chi lookup per soliton per evaluated point: the initial guess
+        and one trial point per Newton step when no step is halved."""
+        grid = self.grid
+        truth = MultiSolitonConfig((SolitonParams(-0.5, -14.9),
+                                    SolitonParams(0.503, 15.1)), min_separation=10.0)
+        guess = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
+                                    SolitonParams(0.5, 15.0)), min_separation=10.0)
+        state = multi_soliton_sum(truth, grid)
+        dv, dw = random_smooth_pair(grid, amplitude=0.01, seed=7)
+        state = HydroState.from_arrays(grid, state.v.values + dv, state.w.values + dw)
+        lookups = []
+
+        class CountingCache(ChiCache):
+            def mode_for(self, index, c):
+                lookups.append(c)
+                return super().mode_for(index, c)
+
+        cache = CountingCache(grid)
+        result = modulate(state, guess, chi=cache)
+        assert result.newton_iters >= 2
+        assert result.backtracks == 0
+        assert len(lookups) == 2 * (result.newton_iters + 1)
+        assert result.condition_evals == result.newton_iters + 1
 
 
 class TestTrackModulation:

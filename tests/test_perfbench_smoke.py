@@ -64,4 +64,9 @@ def test_traced_modulate_track_counts_one_track(tmp_path):
     totals = _trace_round(tmp_path, ["modulate-track", str(path), str(guess_path)])
     assert totals.get("modulation.track_modulation.calls") == 1, sorted(totals)
     assert totals.get("modulation.snapshots") == len(traj)
-    assert totals.get("modulation.chi_lookups", 0) > 0
+    # one chi lookup per soliton per condition evaluation, so the
+    # benchmark's residual_evals (lookups / N) counts evaluations
+    report = json.loads((tmp_path / "out" / "run" / "report.json").read_text())
+    nsol = guess.n_solitons
+    assert totals.get("modulation.chi_lookups", 0) == nsol * report["counters"]["condition_evals"]
+    assert report["counters"]["condition_evals"] > 0

@@ -17,6 +17,8 @@ from ll_lab import (Grid, MultiSolitonConfig, SolitonParams, VacuumBreakdown,
                     soliton_hydro, soliton_momentum, soliton_nu, soliton_spin,
                     soliton_spin_state, speed_gaps, traveling_wave_residual,
                     winding_number)
+from ll_lab.grid import deriv_array
+from ll_lab.solitons import soliton_hydro_jet
 
 SPEEDS = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
 
@@ -131,6 +133,34 @@ class TestFrameRoundTrips:
         state = SpinState.from_components(self.grid, m1, m2, m3)
         with pytest.raises(VacuumBreakdown):
             extract_hydro(state)
+
+
+class TestProfileJet:
+    """Each entry of the closed-form jet against an independent oracle: the
+    spectral derivative of the sampled profile for x, a central difference
+    in c for c.  The grid resolves the profiles and their tails to the
+    tolerance for |c| <= 0.6."""
+
+    grid = Grid(n=4096, dx=0.025, x_min=-51.2)
+
+    @pytest.mark.parametrize("c", [-0.6, -0.3, 0.2, 0.5])
+    def test_entries_match_oracles(self, c):
+        xi = self.grid.periodic_offset(self.grid.x, 1.3)
+        jet = soliton_hydro_jet(c, xi)
+        v, w = soliton_hydro(c, xi)
+        h = 1e-5
+        up = soliton_hydro_jet(c + h, xi)
+        down = soliton_hydro_jet(c - h, xi)
+        oracles = {
+            "q": np.stack([v, w]),
+            "dx": np.stack([deriv_array(v, self.grid, 1), deriv_array(w, self.grid, 1)]),
+            "dxx": np.stack([deriv_array(v, self.grid, 2), deriv_array(w, self.grid, 2)]),
+            "dc": (up.q - down.q) / (2.0 * h),
+            "dcdx": (up.dx - down.dx) / (2.0 * h),
+        }
+        for name, ref in oracles.items():
+            err = np.max(np.abs(getattr(jet, name) - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-8, (name, err)
 
 
 class TestMultiSoliton:
