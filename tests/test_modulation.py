@@ -244,6 +244,31 @@ class TestModulate:
             assert abs(t_dot) <= 1e-9
             assert abs(n_dot) <= 1e-9
 
+    def test_chi_looked_up_only_at_newton_points(self):
+        """One chi lookup per soliton per evaluated point: the initial guess
+        and one trial point per Newton step when no step is halved."""
+        grid = self.grid
+        truth = MultiSolitonConfig((SolitonParams(-0.5, -14.9),
+                                    SolitonParams(0.503, 15.1)), min_separation=10.0)
+        guess = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
+                                    SolitonParams(0.5, 15.0)), min_separation=10.0)
+        state = multi_soliton_sum(truth, grid)
+        dv, dw = random_smooth_pair(grid, amplitude=0.01, seed=7)
+        state = HydroState.from_arrays(grid, state.v.values + dv, state.w.values + dw)
+        lookups = []
+
+        class CountingCache(ChiCache):
+            def mode_for(self, index, c):
+                lookups.append(c)
+                return super().mode_for(index, c)
+
+        cache = CountingCache(grid)
+        result = modulate(state, guess, chi=cache)
+        assert result.newton_iters >= 2
+        assert result.backtracks == 0
+        assert len(lookups) == 2 * (result.newton_iters + 1)
+        assert result.condition_evals == result.newton_iters + 1
+
     def test_speed_out_of_range_reason(self):
         state = multi_soliton_sum(self.cfg, self.grid)
         racy = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
@@ -295,32 +320,6 @@ class TestConditionsJacobian:
                               / (2.0 * h) for e in np.eye(len(p0))])
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
         assert cache.solves == len(params)
-
-    def test_chi_looked_up_only_at_newton_points(self):
-        """One chi lookup per soliton per evaluated point: the initial guess
-        and one trial point per Newton step when no step is halved."""
-        grid = self.grid
-        truth = MultiSolitonConfig((SolitonParams(-0.5, -14.9),
-                                    SolitonParams(0.503, 15.1)), min_separation=10.0)
-        guess = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
-                                    SolitonParams(0.5, 15.0)), min_separation=10.0)
-        state = multi_soliton_sum(truth, grid)
-        dv, dw = random_smooth_pair(grid, amplitude=0.01, seed=7)
-        state = HydroState.from_arrays(grid, state.v.values + dv, state.w.values + dw)
-        lookups = []
-
-        class CountingCache(ChiCache):
-            def mode_for(self, index, c):
-                lookups.append(c)
-                return super().mode_for(index, c)
-
-        cache = CountingCache(grid)
-        result = modulate(state, guess, chi=cache)
-        assert result.newton_iters >= 2
-        assert result.backtracks == 0
-        assert len(lookups) == 2 * (result.newton_iters + 1)
-        assert result.condition_evals == result.newton_iters + 1
-
 
 class TestTrackModulation:
     def _tw_trajectory(self):
