@@ -97,6 +97,12 @@ class Grid:
         return _frozen_array(k * k)
 
     @cached_property
+    def ik_k2(self) -> np.ndarray:
+        """(i*k, -k^2) as one (2, n//2 + 1) array: a single product with an
+        rfft spectrum gives the spectra of the first and second derivative."""
+        return _frozen_array(np.stack((self.ik, -self.k2)), dtype=complex)
+
+    @cached_property
     def lowpass(self) -> np.ndarray:
         """Two-thirds-rule mask on the rfft layout: 1 up to index n//3, else 0."""
         return _frozen_array(np.arange(self.n // 2 + 1) <= self.n // 3)

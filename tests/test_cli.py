@@ -9,6 +9,10 @@ import copy
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +318,15 @@ class TestVirialAudit:
     def test_bad_amplitude_exit_two(self, capsys):
         assert main(["virial-audit", "--amplitude", "-0.5", "--runs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy adds about a third of a second to every launch, so the CLI's
+    import path must not load it; a scipy import inside a function is fine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ll_lab.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

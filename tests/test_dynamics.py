@@ -11,8 +11,11 @@ from ll_lab import (BlowupError, Grid, HydroState, IntegratorConfig,
                     apply_J, apply_L, energy_hydro, evolve, load_trajectory,
                     momentum, multi_soliton_sum, reconstruct_spin, rhs_hll,
                     rhs_spin, save_trajectory, soliton_hydro, step_rk4)
-from ll_lab.grid import shift_array
+from ll_lab import dynamics
+from ll_lab.grid import VACUUM_GUARD, VacuumBreakdown, shift_array
 from ll_lab.scenarios import random_smooth_pair
+
+import dynamics_oracle as oracle
 
 
 def soliton_state(c, grid, a=0.0):
@@ -132,6 +135,87 @@ class TestSymmetries:
         for snap in traj.states:
             norms = np.linalg.norm(snap.m, axis=1)
             assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+class TestFusedPathBits:
+    """The batched transforms and buffered stage sums of ``dynamics`` give
+    the same bits as the reference in ``dynamics_oracle``, which makes one
+    transform per derivative and one temporary per operation."""
+
+    def _perturbed_pair(self):
+        grid = Grid(n=2048, dx=0.1, x_min=-102.4)
+        cfg = MultiSolitonConfig((SolitonParams(-0.4, -20.0), SolitonParams(0.4, 20.0)),
+                                 min_separation=40.0)
+        base = multi_soliton_sum(cfg, grid)
+        dv, dw = random_smooth_pair(grid, amplitude=0.01, seed=7)
+        return HydroState.from_arrays(grid, base.v.values + dv, base.w.values + dw)
+
+    def _assert_rhs_equal(self, state):
+        v, w = state.v.values, state.w.values
+        got = dynamics._hll_rhs_arrays(v, w, state.grid)
+        want = oracle._hll_rhs_arrays(v, w, state.grid)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_rhs_on_perturbed_pair(self):
+        self._assert_rhs_equal(self._perturbed_pair())
+
+    def test_rhs_near_vacuum_guard(self):
+        grid = Grid.centered(512, 0.1)
+        state = soliton_state(0.002, grid)
+        assert VACUUM_GUARD < state.vacuum_margin() < 5.0 * VACUUM_GUARD
+        self._assert_rhs_equal(state)
+        below = soliton_state(0.0009, grid)
+        assert below.vacuum_margin() < VACUUM_GUARD
+        for rhs in (dynamics._hll_rhs_arrays, oracle._hll_rhs_arrays):
+            with pytest.raises(VacuumBreakdown):
+                rhs(below.v.values, below.w.values, grid)
+
+    def test_hydro_steps(self):
+        state = self._perturbed_pair()
+        for _ in range(200):
+            ahead = step_rk4(state, 1e-3)
+            v, w = oracle._rk4_hydro(state.v.values, state.w.values, state.grid, 1e-3)
+            assert np.array_equal(ahead.v.values, v)
+            assert np.array_equal(ahead.w.values, w)
+            state = ahead
+
+    @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
+    def test_spin_steps(self, c, sector):
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        params = tuple(SolitonParams(cj, 15.0 * (j - 0.5 * (len(c) - 1)))
+                       for j, cj in enumerate(c))
+        spin = reconstruct_spin(multi_soliton_sum(MultiSolitonConfig(params, 10.0), grid))
+        assert spin.phase_sector == sector
+        m = spin.m
+        for _ in range(200):
+            ahead = step_rk4(spin, 2e-3)
+            m = oracle._rk4_spin(m, grid, sector, 2e-3)
+            assert np.array_equal(ahead.m, m)
+            spin = ahead
+
+    def test_vacuum_crossing_inside_a_stage(self):
+        """The stiff pair of ``test_blowup_recorded_not_raised`` passes the
+        guard at every step start and crosses it inside a stage of step 12;
+        the run must end with the same text and snapshots as the reference."""
+        grid = Grid(n=512, dx=0.1, x_min=-25.6)
+        cfg = MultiSolitonConfig((SolitonParams(-0.4, -12.0), SolitonParams(0.4, 12.0)),
+                                 min_separation=20.0)
+        state = multi_soliton_sum(cfg, grid)
+        dt = 2.5e-3
+        traj = evolve(state, IntegratorConfig(dt=dt, t_end=2.0, sample_stride=1,
+                                              cfl_factor=0.25))
+        assert traj.error == ("VacuumBreakdown at t = 0.03: "
+                              "1 - v^2 fell below the vacuum guard during evaluation")
+        assert len(traj) == 12
+        assert traj.states[-1].vacuum_margin() > VACUUM_GUARD
+        v, w = state.v.values, state.w.values
+        for snap in traj.states[1:]:
+            v, w = oracle._rk4_hydro(v, w, grid, dt)
+            assert np.array_equal(snap.v.values, v)
+            assert np.array_equal(snap.w.values, w)
+        with pytest.raises(VacuumBreakdown):
+            oracle._rk4_hydro(v, w, grid, dt)
 
 
 class TestEvolveBookkeeping:
