@@ -20,16 +20,22 @@ stability restriction dt <= 0.2*dx^2 (the imaginary-axis stability span of
 RK4 against the k^2 dispersion at the grid cutoff).  Spin-frame steps end by
 renormalizing m to unit length pointwise.
 
-The hydrodynamic RHS makes 4 ``numpy.fft`` calls and 7 real transforms: an
-rfft of v, a 2-row irfft for (v', v''), a 2-row rfft of the two fluxes and a
-2-row irfft for their derivatives, so an RK4 step makes 16 calls.  The stage
-sums run in place with the same operand order as the textbook formula, so
-the results are bit-identical to one-transform-per-derivative code.  The
-transforms stay on ``numpy.fft``: importing ``scipy.fft`` at module level
-raised ``python -c "import ll_lab.cli"`` from 0.22 s to 0.51 s (medians of
-10 alternating launches on a 2-core x86-64 host), and its transforms are
-only about 10% faster per call.  They are looked up as ``np.fft.<name>`` at
-call time, so a tracer that rebinds them sees every call.
+The hydrodynamic state that RK4 carries is its rfft spectrum (v^, w^).  A
+right-hand side makes 2 ``numpy.fft`` calls and 6 real transforms: one
+4-row irfft of (v^, w^, i*k*v^, -k^2*v^) gives v, w, v' and v'', and one
+2-row rfft of the two fluxes, multiplied by i*k, is the spectrum of the
+right-hand side.  An RK4 step makes 8 calls, and ``evolve`` adds one rfft of
+the initial state and one 2-row irfft per stored snapshot.  Since i*k is
+zero at the DC and Nyquist bins, the flux form leaves those bins of v^ and
+w^ exactly as they started, and with them the integrals of v and w.  The
+physical ``rhs_hll`` (4 calls, 7 real transforms) shares the flux
+arithmetic; nothing steps in physical space.  The stage sums run in place
+with the operand order of the textbook formula.  The transforms stay on
+``numpy.fft``: importing ``scipy.fft`` at module level raised
+``python -c "import ll_lab.cli"`` from 0.22 s to 0.51 s (medians of 10
+alternating launches on a 2-core x86-64 host), and its transforms are only
+about 10% faster per call.  They are looked up as ``np.fft.<name>`` at call
+time, so a tracer that rebinds them sees every call.
 """
 
 from __future__ import annotations
@@ -87,20 +93,17 @@ def _check_vacuum(one_minus_v2: np.ndarray) -> None:
         raise VacuumBreakdown("1 - v^2 fell below the vacuum guard during evaluation")
 
 
-def _hydro_front(v: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(v', v'') as one (2, n) array, and 1 - v^2 after the vacuum check.
+def _v_derivatives(v: np.ndarray, grid: Grid) -> np.ndarray:
+    """(v', v'') as one (2, n) array: one rfft of v and one 2-row irfft."""
+    return np.fft.irfft(grid.ik_k2 * np.fft.rfft(v), n=grid.n)
 
-    One rfft of v and one 2-row irfft of (i*k*v^, -k^2*v^).
-    """
-    dv_d2v = np.fft.irfft(grid.ik_k2 * np.fft.rfft(v), n=grid.n)
+
+def _flux_spectrum(v: np.ndarray, w: np.ndarray, dv: np.ndarray, d2v: np.ndarray,
+                   grid: Grid) -> np.ndarray:
+    """i*k times the rfft of the fluxes: the (2, n//2 + 1) spectrum of
+    (dv/dt, dw/dt).  Checks the vacuum guard, then makes one 2-row rfft."""
     om = 1.0 - v * v
     _check_vacuum(om)
-    return dv_d2v, om
-
-
-def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
-    """(dv/dt, dw/dt) as one (2, n) array, from 4 transform calls."""
-    (dv, d2v), om = _hydro_front(v, grid)
     flux = np.empty((2, grid.n))
     f, g = flux
     # f = (v^2 - 1) w and g = (d2v/om + ((v dv) dv)/(om om)) + v (w w - 1),
@@ -121,7 +124,22 @@ def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
     g += t
     spec = np.fft.rfft(flux)
     spec *= grid.ik
-    return np.fft.irfft(spec, n=grid.n)
+    return spec
+
+
+def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
+    """(dv/dt, dw/dt) as one (2, n) array, from 4 transform calls."""
+    dv, d2v = _v_derivatives(v, grid)
+    return np.fft.irfft(_flux_spectrum(v, w, dv, d2v, grid), n=grid.n)
+
+
+def _spectral_rhs(yhat: np.ndarray, grid: Grid, buf: np.ndarray) -> np.ndarray:
+    """Spectrum of (dv/dt, dw/dt) from the spectral state yhat = (v^, w^),
+    in 2 transform calls; buf is a (4, n//2 + 1) complex work array."""
+    buf[:2] = yhat
+    np.multiply(grid.ik_k2, yhat[0], out=buf[2:])
+    v, w, dv, d2v = np.fft.irfft(buf, n=grid.n)
+    return _flux_spectrum(v, w, dv, d2v, grid)
 
 
 def _spin_rhs_arrays(m: np.ndarray, grid: Grid, sector: int) -> np.ndarray:
@@ -151,17 +169,8 @@ def rhs_hll(state: HydroState) -> FieldPair:
 
 
 # ---------------------------------------------------------------------------
-# the operators J, L, B
+# the operators L and B
 # ---------------------------------------------------------------------------
-
-def apply_J(pair: FieldPair) -> FieldPair:
-    """Skew operator J(f1, f2) = (f2', f1')."""
-    f1, f2 = pair
-    grid = f1.grid
-    d2 = np.fft.irfft(grid.ik * np.fft.rfft(f2.values), n=grid.n)
-    d1 = np.fft.irfft(grid.ik * np.fft.rfft(f1.values), n=grid.n)
-    return RealField(grid, d2), RealField(grid, d1)
-
 
 def apply_L(state: HydroState) -> FieldPair:
     """Vacuum linearization L(v, w) = (-v + v'', -w)."""
@@ -179,7 +188,9 @@ def apply_B(state: HydroState) -> FieldPair:
     grid = state.grid
     v = state.v.values
     w = state.w.values
-    (dv, d2v), om = _hydro_front(v, grid)
+    dv, d2v = _v_derivatives(v, grid)
+    om = 1.0 - v * v
+    _check_vacuum(om)
     b1 = d2v * v * v / om + dv * dv * v / (om * om) + v * w * w
     return RealField(grid, b1), RealField(grid, v * v * w)
 
@@ -215,9 +226,27 @@ def _rk4_sum(y, rhs, dt):
     return k1
 
 
-def _rk4_hydro(y: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
-    """One RK4 step of the (2, n) state y = (v, w); returns a new array."""
-    return _rk4_sum(y, lambda s: _hll_rhs_arrays(s[0], s[1], grid), dt)
+def _rk4_hydro(yhat: np.ndarray, grid: Grid, dt: float, buf: np.ndarray) -> np.ndarray:
+    """One RK4 step of the spectral state yhat = (v^, w^); returns a new array."""
+    return _rk4_sum(yhat, lambda s: _spectral_rhs(s, grid, buf), dt)
+
+
+def _hydro_buffer(grid: Grid) -> np.ndarray:
+    return np.empty((4, grid.n // 2 + 1), dtype=complex)
+
+
+def _hydro_spectrum(state: HydroState) -> np.ndarray:
+    return np.fft.rfft((state.v.values, state.w.values))
+
+
+def _hydro_snapshot(grid: Grid, yhat: np.ndarray) -> HydroState:
+    """The physical state of yhat; a state with max|v| >= 1 is a
+    :class:`VacuumBreakdown`, not a malformed ``HydroState``."""
+    v, w = np.fft.irfft(yhat, n=grid.n)
+    vmax = float(np.max(np.abs(v)))
+    if vmax >= 1.0:
+        raise VacuumBreakdown(f"max|v| = {vmax:.6g} >= 1 at a stored snapshot")
+    return HydroState.from_arrays(grid, v, w)
 
 
 def _rk4_spin(m, grid, sector, dt):
@@ -229,8 +258,9 @@ def _rk4_spin(m, grid, sector, dt):
 def step_rk4(state: State, dt: float) -> State:
     """One classical RK4 step of the appropriate flow."""
     if isinstance(state, HydroState):
-        y = _rk4_hydro(np.array((state.v.values, state.w.values)), state.grid, dt)
-        return HydroState.from_arrays(state.grid, y[0], y[1])
+        grid = state.grid
+        yhat = _rk4_hydro(_hydro_spectrum(state), grid, dt, _hydro_buffer(grid))
+        return _hydro_snapshot(grid, yhat)
     if isinstance(state, SpinState):
         m = _rk4_spin(state.m, state.grid, state.phase_sector, dt)
         return SpinState(state.grid, m, state.phase_sector)
@@ -273,7 +303,8 @@ def evolve(state: State, config: IntegratorConfig,
     """Integrate the state to t_end, storing every sample_stride-th step.
 
     The initial state is always the first snapshot.  Hooks are called at
-    every stored snapshot with (t, state).  Vacuum breakdown or non-finite
+    every stored snapshot with (t, state).  Vacuum breakdown (in a
+    right-hand side, or max|v| >= 1 at a stored snapshot) or non-finite
     values end the run early with ``Trajectory.error`` set, keeping the
     snapshots collected so far.
     """
@@ -301,25 +332,27 @@ def evolve(state: State, config: IntegratorConfig,
         m = np.array(state.m, dtype=float)
         sector = state.phase_sector
     else:
-        y = np.array((state.v.values, state.w.values), dtype=float)
+        yhat = _hydro_spectrum(state)
+        buf = _hydro_buffer(grid)
 
     for step in range(1, nsteps + 1):
+        stored = step % config.sample_stride == 0 or step == nsteps
         try:
             if is_spin:
                 m = _rk4_spin(m, grid, sector, config.dt)
                 if not np.all(np.isfinite(m)):
                     raise BlowupError(f"non-finite spin values at step {step}")
+                snap = SpinState(grid, m, sector) if stored else None
             else:
-                y = _rk4_hydro(y, grid, config.dt)
-                if not np.all(np.isfinite(y)):
+                yhat = _rk4_hydro(yhat, grid, config.dt, buf)
+                if not np.all(np.isfinite(yhat)):
                     raise BlowupError(f"non-finite hydrodynamic values at step {step}")
+                snap = _hydro_snapshot(grid, yhat) if stored else None
         except (VacuumBreakdown, BlowupError) as exc:
             error = f"{type(exc).__name__} at t = {step * config.dt:.6g}: {exc}"
             break
-        if step % config.sample_stride == 0 or step == nsteps:
+        if stored:
             t = step * config.dt
-            snap = (SpinState(grid, m, sector) if is_spin
-                    else HydroState.from_arrays(grid, y[0], y[1]))
             times.append(t)
             snapshots.append(snap)
             for hook in hooks:

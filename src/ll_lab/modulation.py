@@ -562,10 +562,6 @@ class ModulationTrack:
     def center_rates(self) -> np.ndarray:
         return np.gradient(self.centers, self.times, axis=0)
 
-    @cached_property
-    def speed_rates(self) -> np.ndarray:
-        return np.gradient(self.speeds, self.times, axis=0)
-
 
 def _as_hydro(state) -> HydroState:
     if isinstance(state, HydroState):

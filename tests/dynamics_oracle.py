@@ -1,13 +1,17 @@
 """Reference implementations of the hydro right-hand side and the RK4 steps,
-one transform and one temporary per operation.
+one transform and one temporary per operation, and of the skew operator J.
 
 ``ll_lab.dynamics`` computes the same arithmetic with batched transforms
-and buffered stage sums; the tests assert that both give the same bits.
+and buffered stage sums, and the tests assert that both give the same bits.
+Its hydro RK4 carries the rfft spectrum of the state, as ``_rk4_spectral``
+does; against the physical-space ``_rk4_hydro`` that moves only rounding, so
+those two are compared to a bound.
 """
 
 import numpy as np
 
 from ll_lab.dynamics import _check_vacuum, _spin_rhs_arrays
+from ll_lab.grid import RealField
 
 
 def _hll_rhs_arrays(v, w, grid):
@@ -33,6 +37,30 @@ def _rk4_hydro(v, w, grid, dt):
             w + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
 
 
+def _spectral_rhs(vhat, what, grid):
+    """Spectra of (dv/dt, dw/dt) from the spectra of (v, w), with the
+    arithmetic of ``_hll_rhs_arrays``."""
+    ik, k2 = grid.ik, grid.k2
+    v = np.fft.irfft(vhat, n=grid.n)
+    w = np.fft.irfft(what, n=grid.n)
+    dv = np.fft.irfft(ik * vhat, n=grid.n)
+    d2v = np.fft.irfft(-k2 * vhat, n=grid.n)
+    om = 1.0 - v * v
+    _check_vacuum(om)
+    g = d2v / om + v * dv * dv / (om * om) + v * (w * w - 1.0)
+    return ik * np.fft.rfft((v * v - 1.0) * w), ik * np.fft.rfft(g)
+
+
+def _rk4_spectral(vhat, what, grid, dt):
+    k1v, k1w = _spectral_rhs(vhat, what, grid)
+    k2v, k2w = _spectral_rhs(vhat + 0.5 * dt * k1v, what + 0.5 * dt * k1w, grid)
+    k3v, k3w = _spectral_rhs(vhat + 0.5 * dt * k2v, what + 0.5 * dt * k2w, grid)
+    k4v, k4w = _spectral_rhs(vhat + dt * k3v, what + dt * k3w, grid)
+    sixth = dt / 6.0
+    return (vhat + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+            what + sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w))
+
+
 def _rk4_spin(m, grid, sector, dt):
     k1 = _spin_rhs_arrays(m, grid, sector)
     k2 = _spin_rhs_arrays(m + 0.5 * dt * k1, grid, sector)
@@ -41,3 +69,12 @@ def _rk4_spin(m, grid, sector, dt):
     out = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     out /= np.sqrt(np.sum(out * out, axis=1))[:, None]
     return out
+
+
+def apply_J(pair):
+    """Skew operator J(f1, f2) = (f2', f1')."""
+    f1, f2 = pair
+    grid = f1.grid
+    d2 = np.fft.irfft(grid.ik * np.fft.rfft(f2.values), n=grid.n)
+    d1 = np.fft.irfft(grid.ik * np.fft.rfft(f1.values), n=grid.n)
+    return RealField(grid, d2), RealField(grid, d1)

@@ -22,7 +22,6 @@ from ll_lab import (
     RealField,
     SolitonParams,
     apply_B,
-    apply_J,
     apply_L,
     energy_hydro,
     evolve,
@@ -47,6 +46,8 @@ from ll_lab import (
     x_norm,
 )
 from ll_lab.grid import shift_array
+
+from dynamics_oracle import apply_J
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 

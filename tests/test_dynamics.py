@@ -8,7 +8,7 @@ import pytest
 
 from ll_lab import (BlowupError, Grid, HydroState, IntegratorConfig,
                     MultiSolitonConfig, SolitonParams, Trajectory, apply_B,
-                    apply_J, apply_L, energy_hydro, evolve, load_trajectory,
+                    apply_L, energy_hydro, evolve, load_trajectory,
                     momentum, multi_soliton_sum, reconstruct_spin, rhs_hll,
                     rhs_spin, save_trajectory, soliton_hydro, step_rk4)
 from ll_lab import dynamics
@@ -16,6 +16,7 @@ from ll_lab.grid import VACUUM_GUARD, VacuumBreakdown, shift_array
 from ll_lab.scenarios import random_smooth_pair
 
 import dynamics_oracle as oracle
+from dynamics_oracle import apply_J
 
 
 def soliton_state(c, grid, a=0.0):
@@ -140,7 +141,9 @@ class TestSymmetries:
 class TestFusedPathBits:
     """The batched transforms and buffered stage sums of ``dynamics`` give
     the same bits as the reference in ``dynamics_oracle``, which makes one
-    transform per derivative and one temporary per operation."""
+    transform per derivative and one temporary per operation.  The hydro RK4
+    carries the rfft spectrum of the state, which is exact in exact
+    arithmetic, so its snapshots match the reference to rounding."""
 
     def _perturbed_pair(self):
         grid = Grid(n=2048, dx=0.1, x_min=-102.4)
@@ -176,9 +179,27 @@ class TestFusedPathBits:
         for _ in range(200):
             ahead = step_rk4(state, 1e-3)
             v, w = oracle._rk4_hydro(state.v.values, state.w.values, state.grid, 1e-3)
-            assert np.array_equal(ahead.v.values, v)
-            assert np.array_equal(ahead.w.values, w)
+            assert np.max(np.abs(ahead.v.values - v)) <= 1e-12
+            assert np.max(np.abs(ahead.w.values - w)) <= 1e-12
             state = ahead
+
+    def test_spectral_steps(self):
+        """The spectral RK4 gives the bits of the one-transform reference.
+        Since i*k vanishes at the DC and Nyquist bins, the flux form leaves
+        those bins of (v^, w^) exactly as they started: the integrals of v
+        and w are conserved to the last bit."""
+        state = self._perturbed_pair()
+        grid = state.grid
+        yhat = dynamics._hydro_spectrum(state)
+        vhat, what = yhat
+        edges = yhat[:, [0, -1]].copy()
+        buf = dynamics._hydro_buffer(grid)
+        for _ in range(200):
+            yhat = dynamics._rk4_hydro(yhat, grid, 1e-3, buf)
+            vhat, what = oracle._rk4_spectral(vhat, what, grid, 1e-3)
+            assert np.array_equal(yhat[0], vhat)
+            assert np.array_equal(yhat[1], what)
+            assert np.array_equal(yhat[:, [0, -1]], edges)
 
     @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
     def test_spin_steps(self, c, sector):
@@ -197,7 +218,10 @@ class TestFusedPathBits:
     def test_vacuum_crossing_inside_a_stage(self):
         """The stiff pair of ``test_blowup_recorded_not_raised`` passes the
         guard at every step start and crosses it inside a stage of step 12;
-        the run must end with the same text and snapshots as the reference."""
+        the run must end with the same text and snapshots as the spectral
+        reference, and the physical reference must break in the same step.
+        The run is unstable, so rounding grows about tenfold per step and
+        the two references part by 8e-8 at step 11."""
         grid = Grid(n=512, dx=0.1, x_min=-25.6)
         cfg = MultiSolitonConfig((SolitonParams(-0.4, -12.0), SolitonParams(0.4, 12.0)),
                                  min_separation=20.0)
@@ -210,12 +234,16 @@ class TestFusedPathBits:
         assert len(traj) == 12
         assert traj.states[-1].vacuum_margin() > VACUUM_GUARD
         v, w = state.v.values, state.w.values
+        vhat, what = np.fft.rfft(v), np.fft.rfft(w)
         for snap in traj.states[1:]:
             v, w = oracle._rk4_hydro(v, w, grid, dt)
-            assert np.array_equal(snap.v.values, v)
-            assert np.array_equal(snap.w.values, w)
+            vhat, what = oracle._rk4_spectral(vhat, what, grid, dt)
+            assert np.array_equal(snap.v.values, np.fft.irfft(vhat, n=grid.n))
+            assert np.array_equal(snap.w.values, np.fft.irfft(what, n=grid.n))
         with pytest.raises(VacuumBreakdown):
             oracle._rk4_hydro(v, w, grid, dt)
+        with pytest.raises(VacuumBreakdown):
+            oracle._rk4_spectral(vhat, what, grid, dt)
 
 
 class TestEvolveBookkeeping:
@@ -270,6 +298,19 @@ class TestEvolveBookkeeping:
         assert "t =" in traj.error
         assert len(traj) >= 1
         assert np.all(np.isfinite(traj.states[-1].v.values))
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_vacuum_at_a_stored_snapshot_recorded(self, stride):
+        """A c = 0.002 soliton at dt = 2e-3 lands on max|v| > 1 in its first
+        step.  Whether that step is a stored snapshot (stride 1) or the next
+        step's right-hand side sees it (stride 10), the run ends with a
+        VacuumBreakdown and keeps the initial snapshot."""
+        grid = Grid.centered(512, 0.1)
+        state = soliton_state(0.002, grid)
+        traj = evolve(state, IntegratorConfig(dt=2e-3, t_end=0.1, sample_stride=stride))
+        assert traj.error.startswith("VacuumBreakdown at t = ")
+        assert len(traj) == 1
+        assert traj.states[0] is state
 
 
 class TestTrajectoryIO:
