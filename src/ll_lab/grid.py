@@ -271,12 +271,6 @@ def lowpass_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.irfft(grid.lowpass * np.fft.rfft(values), n=grid.n)
 
 
-def shift_array(values: np.ndarray, grid: Grid, delta: float) -> np.ndarray:
-    """Periodic translation f(x) -> f(x - delta) by Fourier phase ramp."""
-    phase = np.exp(-1j * grid.rfft_wavenumbers * delta)
-    return np.fft.irfft(phase * np.fft.rfft(values), n=grid.n)
-
-
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Periodic rectangle rule, exact for band-limited integrands."""
     return float(np.sum(values) * grid.dx)
@@ -315,13 +309,18 @@ def x_norm(s: HydroState) -> float:
 
 
 def window_norm(s: HydroState, center: float, half_width: float) -> float:
-    """x_norm restricted to the periodic window |x - center| <= half_width."""
+    """x_norm restricted to the periodic window |x - center| <= half_width.
+
+    Each point is weighted by clip((half_width - |x - center|)/dx + 1/2, 0, 1),
+    a linear ramp one cell wide at each edge, so the norm is continuous in
+    the center and the width.
+    """
     if half_width <= 0.0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     offs = s.grid.periodic_offset(s.grid.x, center)
-    mask = np.abs(offs) <= half_width
+    weight = np.clip((half_width - np.abs(offs)) / s.grid.dx + 0.5, 0.0, 1.0)
     dens = _xnorm_density(s)
-    return math.sqrt(max(float(np.sum(dens[mask]) * s.grid.dx), 0.0))
+    return math.sqrt(max(float(np.sum(dens * weight) * s.grid.dx), 0.0))
 
 
 State = Union[HydroState, SpinState]

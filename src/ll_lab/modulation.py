@@ -11,20 +11,22 @@ certified by explicit residual norms.
 ``modulate`` decomposes a state s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps
 orthogonal (in L^2) to every translation mode and every negative direction,
 solving the 2N orthogonality conditions F_2j = s_j <eps, Q_j'> and
-F_2j+1 = s_j <eps, chi_j> for (c_j, a_j) by Newton iteration.  Each trial
-point is one evaluation of F and its exact Jacobian: eps moves by
-d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc; the translation rows
-add s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows
-add -s_j <eps, chi_j'> in a_j and have no c-derivative, since chi is held
-fixed between cache refreshes (see :func:`_modulate_raw`).  The profile
-derivatives come from the closed-form jet ``soliton_hydro_jet`` and
-(chi_j, chi_j') from one inverse transform of the mode's cached spectrum.
-``track_modulation`` runs this along a trajectory with warm starts, reusing
-each chi_{c_j} until the tracked speed has moved more than a tolerance; the
-snapshot where the decomposition is lost ends the track and is recorded on
-``ModulationTrack.error``.
+F_2j+1 = s_j <eps, chi_j> for (c_j, a_j) by Newton iteration.  chi_c is a
+function of c alone: :class:`ChiCache` solves it once per node c_k = k h of
+a fixed speed lattice and interpolates linearly within the cell that holds
+c.  Each trial point is one evaluation of F and its exact Jacobian: eps
+moves by d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc; the
+translation rows add s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in
+a_j, and the chi rows add s_j <eps, d chi_j/dc> in c_j (the slope of the
+cell) and -s_j <eps, chi_j'> in a_j (see :func:`_modulate_raw`).  The
+profile derivatives come from the closed-form jet ``soliton_hydro_jet``,
+(chi_j, chi_j', d chi_j/dc) from one inverse transform of the interpolated
+spectrum, and the 6N pairings with eps from one matrix product.
+``track_modulation`` runs this along a trajectory, starting each snapshot
+from the previous speeds and from the previous centers advanced by c_j dt;
+the snapshot where the decomposition is lost ends the track and is recorded
+on ``ModulationTrack.error``.
 """
-
 from __future__ import annotations
 
 import math
@@ -125,7 +127,8 @@ class HessianOperator:
         return inv, drift, potential, -2.0 * v * w - self.c, om
 
     def apply_arrays(self, h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H_c (h1, h2) on raw sample arrays."""
+        """H_c (h1, h2) on raw sample arrays; x is the last axis, so stacked
+        rows are transformed together."""
         inv, drift, potential, coupling, om = self.coefficients
         dh1 = deriv_array(h1, self.grid, 1)
         flux = deriv_array(inv * dh1 + drift * h1, self.grid, 1)
@@ -156,10 +159,14 @@ def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
 # lowest eigenpairs: preconditioned block Davidson with thick restart
 # ---------------------------------------------------------------------------
 
-def _davidson_lowest(apply_vec, precond_vec, x0: np.ndarray, nev: int,
+def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
                      tol_first: float, tol_rest: float, maxiter: int = 300,
                      maxdim: int = 90):
     """Lowest ``nev`` Ritz pairs of a symmetric operator on column vectors.
+
+    ``apply_block(X)`` applies the operator to every column of X, and
+    ``precond_block(R, thetas)`` preconditions each residual column R[:, j]
+    for its Ritz value thetas[j].
 
     Convergence demands the first residual below tol_first and the remaining
     tracked residuals below tol_rest (Euclidean norms, unit Ritz vectors).
@@ -173,13 +180,19 @@ def _davidson_lowest(apply_vec, precond_vec, x0: np.ndarray, nev: int,
         keep = np.abs(np.diag(r)) > 1e-10
         return q[:, keep]
 
+    # the basis V and its image HV fill preallocated column-major buffers,
+    # and the Gram matrix V^T H V grows by the new block's rows and columns
+    basis = np.empty((x0.shape[0], maxdim), order="F")
+    image = np.empty_like(basis)
     V, _ = np.linalg.qr(x0)
-    HV = np.column_stack([apply_vec(V[:, j]) for j in range(V.shape[1])])
+    dim = V.shape[1]
+    basis[:, :dim] = V
+    image[:, :dim] = apply_block(V)
+    gram = basis[:, :dim].T @ image[:, :dim]
     last = None
     for it in range(1, maxiter + 1):
-        G = V.T @ HV
-        G = 0.5 * (G + G.T)
-        thetas, S = np.linalg.eigh(G)
+        V, HV = basis[:, :dim], image[:, :dim]
+        thetas, S = np.linalg.eigh(0.5 * (gram + gram.T))
         m = min(nev, len(thetas))
         U = V @ S[:, :m]
         HU = HV @ S[:, :m]
@@ -190,18 +203,22 @@ def _davidson_lowest(apply_vec, precond_vec, x0: np.ndarray, nev: int,
         tols[0] = tol_first
         if np.all(res <= tols):
             return last
-        W = np.column_stack([precond_vec(R[:, j], thetas[j])
-                             for j in range(m) if res[j] > tols[j]])
-        if V.shape[1] + W.shape[1] > maxdim:
-            keep = min(8 * nev, V.shape[1])
-            V = V @ S[:, :keep]
-            HV = HV @ S[:, :keep]
+        unconverged = res > tols
+        W = precond_block(R[:, unconverged], thetas[:m][unconverged])
+        if dim + W.shape[1] > maxdim:
+            dim = min(8 * nev, dim)
+            basis[:, :dim] = V @ S[:, :dim]
+            image[:, :dim] = HV @ S[:, :dim]
+            V, HV = basis[:, :dim], image[:, :dim]
+            gram = V.T @ HV
         W = orth_against(W, V)
         if W.shape[1] == 0:
             return last
-        HW = np.column_stack([apply_vec(W[:, j]) for j in range(W.shape[1])])
-        V = np.column_stack([V, W])
-        HV = np.column_stack([HV, HW])
+        HW = apply_block(W)
+        gram = np.block([[gram, V.T @ HW], [W.T @ HV, W.T @ HW]])
+        basis[:, dim:dim + W.shape[1]] = W
+        image[:, dim:dim + W.shape[1]] = HW
+        dim += W.shape[1]
     return last
 
 
@@ -211,8 +228,9 @@ class NegativeMode:
 
     ``chi`` is L^2-normalized with positive overlap against (v_c, 0);
     ``rayleigh`` is its (negative) Rayleigh quotient, ``residual`` the
-    Euclidean eigenresidual, and ``negative_count`` the certified number of
-    eigenvalues below -1e-6 (always 1 on successful construction).
+    Euclidean eigenresidual, ``negative_count`` the certified number of
+    eigenvalues below -1e-6 (always 1 on successful construction) and
+    ``iterations`` the Davidson iterations of the solve.
     """
 
     c: float
@@ -222,6 +240,7 @@ class NegativeMode:
     rayleigh: float
     residual: float
     negative_count: int
+    iterations: int
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -229,12 +248,6 @@ class NegativeMode:
         derivative."""
         hat = np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
         return np.concatenate([hat, self.grid.ik * hat])
-
-    def shifted(self, center: float) -> np.ndarray:
-        """The rows (chi_v, chi_w, chi_v', chi_w') translated from the mode's
-        center to ``center`` by a Fourier phase ramp, shape (4, n)."""
-        phase = np.exp(-1j * self.grid.rfft_wavenumbers * (center - self.center))
-        return np.fft.irfft(phase * self._spectrum, n=self.grid.n)
 
 
 def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
@@ -265,34 +278,36 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
     k2 = grid.k2
     keep = grid.lowpass
 
-    def lowpass_pair(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        return np.concatenate([lowpass_array(f1, grid), lowpass_array(f2, grid)])
+    # blocks are (2n, m) arrays of columns (h1, h2); the transforms run on
+    # all m columns at once, as rows of the transposed halves
+    def lowpass_block(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+        return np.concatenate([lowpass_array(f1, grid), lowpass_array(f2, grid)], axis=-1).T
 
-    def apply_vec(x: np.ndarray) -> np.ndarray:
-        return lowpass_pair(*op.apply_arrays(x[:n], x[n:]))
+    def apply_block(x: np.ndarray) -> np.ndarray:
+        return lowpass_block(*op.apply_arrays(x[:n].T, x[n:].T))
 
-    def precond_vec(r: np.ndarray, theta: float = 0.0) -> np.ndarray:
+    def precond_block(r: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         # inverse of the shifted vacuum symbol [[k^2+1-t, -c], [-c, 1-t]];
         # the shift is only applied safely below the symbol's spectrum
-        t = theta if theta < -0.05 else 0.0
+        t = np.where(thetas < -0.05, thetas, 0.0)[:, None]
         det = (k2 + 1.0 - t) * (1.0 - t) - c * c
-        r1 = np.fft.rfft(r[:n])
-        r2 = np.fft.rfft(r[n:])
+        r1 = np.fft.rfft(r[:n].T)
+        r2 = np.fft.rfft(r[n:].T)
         g1 = ((1.0 - t) * r1 + c * r2) / det
         g2 = (c * r1 + (k2 + 1.0 - t) * r2) / det
-        return np.concatenate([np.fft.irfft(keep * g1, n=n), np.fft.irfft(keep * g2, n=n)])
+        return np.concatenate([np.fft.irfft(keep * g1, n=n),
+                               np.fft.irfft(keep * g2, n=n)], axis=-1).T
 
     v0, w0 = op.profile
     dv0, dw0 = op.profile_derivative
     rng = np.random.default_rng(2024)
     rand = rng.standard_normal((2 * n, 2))
     x0 = np.column_stack([
-        lowpass_pair(v0, w0),
-        lowpass_pair(dv0, dw0),
-        precond_vec(rand[:, 0]),
-        precond_vec(rand[:, 1]),
+        lowpass_block(v0, w0),
+        lowpass_block(dv0, dw0),
+        precond_block(rand, np.zeros(2)),
     ])
-    thetas, U, res, iters = _davidson_lowest(apply_vec, precond_vec, x0, nev=3,
+    thetas, U, res, iters = _davidson_lowest(apply_block, precond_block, x0, nev=3,
                                              tol_first=tol_first, tol_rest=tol_certify,
                                              maxiter=maxiter)
     if res[0] > tol_first:
@@ -319,27 +334,72 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
     chi = (RealField(grid, x[:n]), RealField(grid, x[n:]))
     return NegativeMode(c=c, grid=grid, center=op.center, chi=chi,
                         rayleigh=float(thetas[0]), residual=float(res[0]),
-                        negative_count=count)
+                        negative_count=count, iterations=int(iters))
+
+
+CHI_LATTICE_STEP = 0.02
+"""Spacing h of the speed lattice c_k = k h on which :class:`ChiCache`
+solves the negative directions."""
+
+
+@dataclass(frozen=True, eq=False)
+class InterpolatedMode:
+    """chi_c interpolated on the speed lattice: ``spectrum`` is the rfft of
+    the rows (chi_v, chi_w, chi_v', chi_w', d chi_v/dc, d chi_w/dc) of the
+    mode centered at ``center``."""
+
+    grid: Grid
+    center: float
+    spectrum: np.ndarray
+
+    def shifted(self, center: float) -> np.ndarray:
+        """The six rows translated from the mode's center to ``center`` by a
+        Fourier phase ramp, shape (6, n)."""
+        phase = np.exp(-1j * self.grid.rfft_wavenumbers * (center - self.center))
+        return np.fft.irfft(phase * self.spectrum, n=self.grid.n)
 
 
 class ChiCache:
-    """Per-soliton cache of negative directions, refreshed only when the
-    tracked speed moves by more than ``refresh``; ``solves`` counts the
-    calls of :func:`negative_mode` it made."""
+    """Negative directions as a function of the speed alone.
 
-    def __init__(self, grid: Grid, refresh: float = 5e-3):
+    :func:`negative_mode` is solved once per node c_k = k h of the fixed
+    lattice h = ``CHI_LATTICE_STEP``, at the grid midpoint, and chi_c is the
+    linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h on the cell
+    that holds c, so d chi/dc is the slope of the cell.  Nodes keep to
+    h <= |c_k| <= 1 - h: where a bracketing node would leave that range, the
+    two nearest admissible nodes of the same sign are used (linear
+    extrapolation).  The interpolant is not renormalized; its L^2 norm is
+    1 - O(h^2), and the orthogonality conditions are homogeneous in chi.
+    ``solves`` counts the calls of :func:`negative_mode` the cache made and
+    ``davidson_iters`` their Davidson iterations.
+    """
+
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.refresh = refresh
         self.solves = 0
-        self._modes: dict[int, NegativeMode] = {}
+        self.davidson_iters = 0
+        self._nodes: dict[int, NegativeMode] = {}
 
-    def mode_for(self, index: int, c: float) -> NegativeMode:
-        mode = self._modes.get(index)
-        if mode is None or abs(mode.c - c) > self.refresh:
+    def _node(self, k: int) -> NegativeMode:
+        mode = self._nodes.get(k)
+        if mode is None:
+            mode = negative_mode(k * CHI_LATTICE_STEP, self.grid)
             self.solves += 1
-            mode = negative_mode(c, self.grid)
-            self._modes[index] = mode
+            self.davidson_iters += mode.iterations
+            self._nodes[k] = mode
         return mode
+
+    def mode_for(self, c: float) -> InterpolatedMode:
+        """chi_c, d chi/dc and their x-derivatives from the cell of c."""
+        if not 0.0 < abs(c) < 1.0:
+            raise ModulationError(f"speed out of range: no negative direction at c = {c}")
+        top = round(1.0 / CHI_LATTICE_STEP) - 1   # the last admissible node index
+        k = math.floor(c / CHI_LATTICE_STEP)
+        k = min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
+        lo, hi = self._node(k), self._node(k + 1)
+        slope = (hi._spectrum - lo._spectrum) / CHI_LATTICE_STEP
+        spectrum = np.concatenate([lo._spectrum + (c - lo.c) * slope, slope[:2]])
+        return InterpolatedMode(grid=self.grid, center=lo.center, spectrum=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -393,28 +453,28 @@ def _conditions(params: np.ndarray, state: np.ndarray, grid: Grid,
     total, jets = _guarded_sum(speeds, centers, signs, grid, speed_margin)
     eps = state - total
 
-    def dot(a: np.ndarray, b: np.ndarray) -> float:
-        return integrate(a[0] * b[0] + a[1] * b[1], grid)
-
-    rows = np.empty((2 * nsol, 2, grid.n))    # Q_j', chi_j
-    cols = np.empty((2 * nsol, 2, grid.n))    # d eps/d c_k, d eps/d a_k
-    chis = []
-    f = np.empty(2 * nsol)
+    # the six fields of each soliton paired with eps:
+    # Q_j', chi_j, dQ_j'/dc, Q_j'', chi_j', d chi_j/dc
+    fields = np.empty((nsol, 6, 2, grid.n))
     for j, jet in enumerate(jets):
-        shifted = chi.mode_for(j, speeds[j]).shifted(centers[j])
-        chis.append(shifted)
-        rows[2 * j] = jet.dx
-        rows[2 * j + 1] = shifted[:2]
-        cols[j] = -signs[j] * jet.dc
-        cols[nsol + j] = signs[j] * jet.dx
-        f[2 * j] = dot(eps, jet.dx) * signs[j]
-        f[2 * j + 1] = dot(eps, shifted[:2]) * signs[j]
-    jac = (rows.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
+        chi_rows = chi.mode_for(speeds[j]).shifted(centers[j]).reshape(3, 2, grid.n)
+        fields[j, 0] = jet.dx
+        fields[j, 1] = chi_rows[0]
+        fields[j, 2] = jet.dcdx
+        fields[j, 3] = jet.dxx
+        fields[j, 4:] = chi_rows[1:]
+    pairs = (fields.reshape(nsol, 6, -1) @ eps.reshape(-1)) * (grid.dx * signs[:, None])
+    f = pairs[:, :2].reshape(-1)
+    # d eps/d c_k, d eps/d a_k
+    cols = np.concatenate([-signs[:, None, None] * np.stack([jet.dc for jet in jets]),
+                           signs[:, None, None] * fields[:, 0]])
+    jac = (fields[:, :2].reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
     jac *= np.repeat(signs, 2)[:, None]
-    for j, (jet, shifted) in enumerate(zip(jets, chis)):
-        jac[2 * j, j] += signs[j] * dot(eps, jet.dcdx)
-        jac[2 * j, nsol + j] -= signs[j] * dot(eps, jet.dxx)
-        jac[2 * j + 1, nsol + j] -= signs[j] * dot(eps, shifted[2:])
+    j = np.arange(nsol)
+    jac[2 * j, j] += pairs[:, 2]
+    jac[2 * j, nsol + j] -= pairs[:, 3]
+    jac[2 * j + 1, nsol + j] -= pairs[:, 4]
+    jac[2 * j + 1, j] += pairs[:, 5]
     return f, jac, eps
 
 
@@ -427,16 +487,14 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
         eps = s - sum_k s_k Q_k,  Q_k = Q_{c_k}(. - a_k),
 
-    with chi_j the cached mode of soliton j translated to a_j.  Each trial
-    point is one evaluation returning F and its exact Jacobian: with
+    with chi_j the lattice interpolant of chi_{c_j} translated to a_j.  Each
+    trial point is one evaluation returning F and its exact Jacobian: with
     d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc,
 
         dF_2j/dc_k   = -s_j s_k <dQ_k/dc, Q_j'> + [k = j] s_j <eps, dQ_j'/dc>,
         dF_2j/da_k   =  s_j s_k <Q_k', Q_j'>    - [k = j] s_j <eps, Q_j''>,
-        dF_2j+1/dc_k = -s_j s_k <dQ_k/dc, chi_j>,
+        dF_2j+1/dc_k = -s_j s_k <dQ_k/dc, chi_j> + [k = j] s_j <eps, d chi_j/dc>,
         dF_2j+1/da_k =  s_j s_k <Q_k', chi_j>   - [k = j] s_j <eps, chi_j'>.
-
-    chi_j has no c-derivative: the cache holds it fixed between refreshes.
     """
     nsol = len(speeds0)
     state = np.stack([sv, sw])
@@ -531,7 +589,8 @@ class ModulationTrack:
     reason the decomposition was lost at the first snapshot that failed;
     the rows stop just before that snapshot.  ``condition_evals`` and
     ``backtracks`` total the counts of the decomposed snapshots, and
-    ``chi_solves`` counts the negative-mode solves of the whole track.
+    ``chi_solves`` and ``davidson_iters`` count the negative-mode solves of
+    the whole track and their Davidson iterations.
     """
 
     times: np.ndarray
@@ -545,6 +604,7 @@ class ModulationTrack:
     condition_evals: int = 0
     backtracks: int = 0
     chi_solves: int = 0
+    davidson_iters: int = 0
 
     @property
     def n_solitons(self) -> int:
@@ -556,7 +616,8 @@ class ModulationTrack:
         return {"newton_iters": int(np.sum(self.newton_iters)),
                 "condition_evals": self.condition_evals,
                 "backtracks": self.backtracks,
-                "chi_solves": self.chi_solves}
+                "chi_solves": self.chi_solves,
+                "davidson_iters": self.davidson_iters}
 
     @cached_property
     def center_rates(self) -> np.ndarray:
@@ -572,9 +633,10 @@ def _as_hydro(state) -> HydroState:
 
 
 def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationTrack:
-    """Run the Newton decomposition at every snapshot, warm starting each
-    solve from the previous parameters and reusing cached negative
-    directions until a speed drifts by more than the cache threshold.
+    """Run the Newton decomposition at every snapshot, sharing one
+    :class:`ChiCache`.  Each solve after the first starts from a predictor:
+    the previous speeds c_j and the previous centers advanced by c_j times
+    the time step between the snapshots.
 
     Tracking stops at the first snapshot that cannot be decomposed (a
     :class:`ModulationError` or a :class:`VacuumBreakdown`); the track keeps
@@ -600,6 +662,8 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     warm_centers = np.array(guess.centers, dtype=float)
     signs_f = guess.signs.astype(float)
     for i, snap in enumerate(traj.states):
+        if i > 0:
+            warm_centers = warm_centers + warm_speeds * (times[i] - times[i - 1])
         try:
             hydro = _as_hydro(snap)
             result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
@@ -624,7 +688,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
                            newton_iters=iters[:done], error=error,
                            condition_evals=evals, backtracks=backtracks,
-                           chi_solves=cache.solves)
+                           chi_solves=cache.solves, davidson_iters=cache.davidson_iters)
 
 
 def track_to_csv(track: ModulationTrack, path) -> None:

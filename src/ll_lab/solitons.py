@@ -67,16 +67,6 @@ def soliton_hydro(c: float, x) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def soliton_hydro_derivative(c: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic x-derivative of the hydrodynamic profile."""
-    nu = soliton_nu(c)
-    x = np.asarray(x, dtype=float)
-    v = nu / np.cosh(nu * x)
-    dv = -nu * v * np.tanh(nu * x)
-    dw = c * dv * (1.0 + v * v) / (1.0 - v * v) ** 2
-    return dv, dw
-
-
 class ProfileJet(NamedTuple):
     """The hydrodynamic profile and the derivatives the modulation Newton
     Jacobian needs, each as a stacked (v, w) array of shape (2,) + x.shape."""
@@ -101,8 +91,9 @@ def soliton_hydro_jet(c: float, x) -> ProfileJet:
         dv'/dc = (c/nu) v (2 t + y (2 v^2/nu^2 - 1)),
         dw'/dc = g v' + c g dv'/dc + 2 c v (3 + v^2) v' dv/dc / om^3.
 
-    Q and Q' are evaluated exactly as in :func:`soliton_hydro` and
-    :func:`soliton_hydro_derivative`.
+    Q is evaluated exactly as in :func:`soliton_hydro`, and Q' with the
+    same operations as the closed form v' = -nu v tanh(nu x),
+    w' = c v' (1 + v^2)/(1 - v^2)^2.
     """
     nu = soliton_nu(c)
     x = np.asarray(x, dtype=float)

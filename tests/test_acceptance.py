@@ -45,9 +45,9 @@ from ll_lab import (
     virial_rate,
     x_norm,
 )
-from ll_lab.grid import shift_array
 
 from dynamics_oracle import apply_J
+from field_oracle import shift_array
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 

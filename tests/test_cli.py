@@ -248,9 +248,11 @@ class TestModulateTrack:
             counters.append(json.loads((out / "run" / "report.json").read_text())["counters"])
         assert counters[0] == counters[1]
         c = counters[0]
-        assert set(c) == {"newton_iters", "condition_evals", "backtracks", "chi_solves"}
+        assert set(c) == {"newton_iters", "condition_evals", "backtracks", "chi_solves",
+                          "davidson_iters"}
         assert c["condition_evals"] == c["newton_iters"] + len(traj) + c["backtracks"]
         assert c["chi_solves"] >= 1
+        assert c["davidson_iters"] >= c["chi_solves"]
 
     def test_bad_magic_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.traj"

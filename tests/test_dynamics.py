@@ -12,11 +12,12 @@ from ll_lab import (BlowupError, Grid, HydroState, IntegratorConfig,
                     momentum, multi_soliton_sum, reconstruct_spin, rhs_hll,
                     rhs_spin, save_trajectory, soliton_hydro, step_rk4)
 from ll_lab import dynamics
-from ll_lab.grid import VACUUM_GUARD, VacuumBreakdown, shift_array
+from ll_lab.grid import VACUUM_GUARD, VacuumBreakdown
 from ll_lab.scenarios import random_smooth_pair
 
 import dynamics_oracle as oracle
 from dynamics_oracle import apply_J
+from field_oracle import shift_array
 
 
 def soliton_state(c, grid, a=0.0):

@@ -8,8 +8,9 @@ import pytest
 from ll_lab import (Grid, HydroState, RealField, SpinState, VacuumBreakdown,
                     VACUUM_GUARD, energy_hydro, integrate, spatial_derivative,
                     spin_derivative, window_norm, x_norm)
-from ll_lab.grid import (antiderivative_array, complex_deriv_array, deriv_array,
-                         shift_array)
+from ll_lab.grid import antiderivative_array, complex_deriv_array, deriv_array
+
+from field_oracle import shift_array
 
 
 class TestGrid:
@@ -153,6 +154,17 @@ class TestHydroState:
         far = window_norm(state, self.grid.period / 2.0, 6.0)
         assert near == pytest.approx(x_norm(state), rel=1e-10)
         assert far < 1e-12
+
+    def test_window_norm_continuous_in_center(self):
+        """An edge on a grid point: moving the center by 1e-12 moves the
+        norm by rounding, not by the density of a whole cell."""
+        v = 0.3 * np.exp(-(self.grid.x - 2.0) ** 2 / 8.0)
+        state = HydroState.from_arrays(self.grid, v, np.zeros(self.grid.n))
+        center = 0.0
+        half_width = float(self.grid.x[np.argmin(np.abs(self.grid.x - 3.0))]) - center
+        base = window_norm(state, center, half_width)
+        for shift in (1e-12, -1e-12):
+            assert abs(window_norm(state, center + shift, half_width) - base) <= 1e-9
 
     def test_spatial_derivative_orders(self):
         k = 2.0 * math.pi * 4 / self.grid.period

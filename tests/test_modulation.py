@@ -15,9 +15,10 @@ from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfi
                     Trajectory, evolve, grad_EP, hessian_apply, integrate, modulate,
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
                     track_to_csv, x_norm)
-from ll_lab.grid import shift_array
-from ll_lab.modulation import _conditions
+from ll_lab.modulation import CHI_LATTICE_STEP, _conditions
 from ll_lab.scenarios import random_smooth_pair
+
+from field_oracle import shift_array, soliton_hydro_derivative
 
 # Frozen lowest eigenvalues of H_c on the period-102.4 grid (see module
 # docstring); the eigensolver certifies residuals below 2e-7.
@@ -229,17 +230,22 @@ class TestModulate:
         assert result.orthogonality <= 1e-10 * (1.0 + x_norm(eps))
         assert x_norm(eps) <= 10.0 * 0.01
         assert np.max(np.abs(result.speeds - [-0.5, 0.5])) <= 10.0 * x_norm(eps)
-        # recheck both orthogonality families against the same cached modes
+        # recheck both orthogonality families; chi_j is the linear
+        # interpolant of the two lattice nodes around c_j, translated to a_j
+        h = CHI_LATTICE_STEP
         for j in range(2):
-            xi = self.grid.periodic_offset(self.grid.x, result.centers[j])
-            from ll_lab.solitons import soliton_hydro_derivative
-
-            dvj, dwj = soliton_hydro_derivative(result.speeds[j], xi)
+            c, a = result.speeds[j], result.centers[j]
+            xi = self.grid.periodic_offset(self.grid.x, a)
+            dvj, dwj = soliton_hydro_derivative(c, xi)
             t_dot = integrate(eps.v.values * dvj + eps.w.values * dwj, self.grid)
-            mode = cache.mode_for(j, result.speeds[j])
-            delta = result.centers[j] - mode.center
-            c1 = shift_array(mode.chi[0].values, self.grid, delta)
-            c2 = shift_array(mode.chi[1].values, self.grid, delta)
+            k = math.floor(c / h)
+            lo = negative_mode(k * h, self.grid)
+            hi = negative_mode((k + 1) * h, self.grid)
+            theta = (c - k * h) / h
+            chi = [(1.0 - theta) * lo.chi[i].values + theta * hi.chi[i].values
+                   for i in range(2)]
+            c1 = shift_array(chi[0], self.grid, a - lo.center)
+            c2 = shift_array(chi[1], self.grid, a - lo.center)
             n_dot = integrate(eps.v.values * c1 + eps.w.values * c2, self.grid)
             assert abs(t_dot) <= 1e-9
             assert abs(n_dot) <= 1e-9
@@ -258,9 +264,9 @@ class TestModulate:
         lookups = []
 
         class CountingCache(ChiCache):
-            def mode_for(self, index, c):
+            def mode_for(self, c):
                 lookups.append(c)
-                return super().mode_for(index, c)
+                return super().mode_for(c)
 
         cache = CountingCache(grid)
         result = modulate(state, guess, chi=cache)
@@ -288,7 +294,8 @@ class TestModulate:
 
 class TestConditionsJacobian:
     """The closed-form Newton Jacobian against a central difference of the
-    conditions, with chi frozen (refresh=1.0) as between cache refreshes."""
+    conditions, the c-column of the chi rows included: chi is linear in c
+    within a lattice cell, and no point here leaves its cell."""
 
     grid = Grid(n=1024, dx=0.1, x_min=-51.2)
 
@@ -307,7 +314,7 @@ class TestConditionsJacobian:
         dv, dw = random_smooth_pair(self.grid, amplitude=0.02, seed=5)
         perturbed = np.stack([state.v.values + dv, state.w.values + dw])
         signs = cfg.signs.astype(float)
-        cache = ChiCache(self.grid, refresh=1.0)
+        cache = ChiCache(self.grid)
         # off the solution, so that every eps-weighted term is exercised
         p0 = np.concatenate([cfg.speeds + 3e-3, cfg.centers + 0.05])
 
@@ -319,7 +326,8 @@ class TestConditionsJacobian:
         fd = np.column_stack([(conditions(p0 + h * e)[0] - conditions(p0 - h * e)[0])
                               / (2.0 * h) for e in np.eye(len(p0))])
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
-        assert cache.solves == len(params)
+        assert cache.solves == 2 * len(params)
+
 
 class TestTrackModulation:
     def _tw_trajectory(self):
@@ -341,6 +349,29 @@ class TestTrackModulation:
         assert np.all(track.newton_iters <= 5)
         assert track.newton_iters[0] == 0
         assert np.max(track.eps_norms) < 1e-5
+
+    def test_snapshot_decomposition_independent_of_track_start(self):
+        """Decomposing snapshot k gives the same (c, a) whether the track
+        started at snapshot 0 or at snapshot k from another guess."""
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        cfg = MultiSolitonConfig((SolitonParams(-0.5, -15.0), SolitonParams(0.5, 15.0)),
+                                 min_separation=10.0)
+        base = multi_soliton_sum(cfg, grid)
+        dv, dw = random_smooth_pair(grid, amplitude=0.02, seed=11)
+        state = HydroState.from_arrays(grid, base.v.values + dv, base.w.values + dw)
+        traj = evolve(state, IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=250))
+        full = track_modulation(traj, cfg)
+        assert full.error is None
+        k = 3
+        late = Trajectory(frame="hydro", grid=grid, times=traj.times[k:],
+                          states=traj.states[k:])
+        guess = MultiSolitonConfig(tuple(
+            SolitonParams(c + 4e-3, a + c * traj.times[k])
+            for c, a in zip(cfg.speeds, cfg.centers)), min_separation=10.0)
+        restarted = track_modulation(late, guess)
+        assert restarted.error is None
+        assert np.max(np.abs(restarted.speeds[0] - full.speeds[k])) <= 1e-9
+        assert np.max(np.abs(restarted.centers[0] - full.centers[k])) <= 1e-9
 
     def test_error_carries_snapshot_position(self):
         """A lost decomposition ends the track: the rows before it are kept
@@ -377,19 +408,58 @@ class TestTrackModulation:
 
 
 class TestChiCache:
-    def test_reuse_within_refresh(self):
-        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
-        cache = ChiCache(grid, refresh=5e-3)
-        a = cache.mode_for(0, 0.6)
-        b = cache.mode_for(0, 0.6 + 4e-3)
-        c = cache.mode_for(0, 0.6 + 6e-3)
-        assert b is a
-        assert c is not a
-        assert c.c == pytest.approx(0.606)
+    grid = Grid(n=1024, dx=0.1, x_min=-51.2)
 
-    def test_indices_are_independent(self):
-        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
-        cache = ChiCache(grid)
-        a = cache.mode_for(0, 0.6)
-        b = cache.mode_for(1, 0.6)
-        assert a is not b
+    def test_reuse_within_cell(self):
+        """Speeds in one lattice cell share its two nodes; a speed in the
+        next cell solves only the node it adds."""
+        cache = ChiCache(self.grid)
+        cache.mode_for(0.605)
+        assert cache.solves == 2
+        cache.mode_for(0.617)
+        assert cache.solves == 2
+        cache.mode_for(0.625)
+        assert cache.solves == 3
+        assert cache.davidson_iters >= cache.solves
+
+    def test_node_speed_gives_the_node_mode(self):
+        node = negative_mode(0.6, self.grid)
+        rows = ChiCache(self.grid).mode_for(0.6).shifted(node.center)
+        assert rows.shape == (6, self.grid.n)
+        assert np.max(np.abs(rows[0] - node.chi[0].values)) < 1e-12
+        assert np.max(np.abs(rows[1] - node.chi[1].values)) < 1e-12
+
+    def test_conditions_bit_identical_after_other_speeds(self):
+        """chi depends on c alone: the conditions at p do not depend on which
+        speeds the cache served before."""
+        cfg = MultiSolitonConfig((SolitonParams(-0.5, -15.0), SolitonParams(0.5, 15.0)),
+                                 min_separation=10.0)
+        state = multi_soliton_sum(cfg, self.grid)
+        dv, dw = random_smooth_pair(self.grid, amplitude=0.02, seed=5)
+        perturbed = np.stack([state.v.values + dv, state.w.values + dw])
+        signs = cfg.signs.astype(float)
+        p = np.concatenate([cfg.speeds + 3e-3, cfg.centers + 0.05])
+        used = ChiCache(self.grid)
+        for c in (0.47, -0.53, 0.51, -0.49, 0.3):
+            used.mode_for(c)
+        f_fresh, j_fresh, _ = _conditions(p, perturbed, self.grid, signs,
+                                          ChiCache(self.grid), 1e-3)
+        f_used, j_used, _ = _conditions(p, perturbed, self.grid, signs, used, 1e-3)
+        assert np.array_equal(f_fresh, f_used)
+        assert np.array_equal(j_fresh, j_used)
+
+    @pytest.mark.parametrize("c", [-0.42, 0.38, 0.6])
+    def test_adjacent_nodes_overlap(self, c):
+        lo = negative_mode(c, self.grid)
+        hi = negative_mode(c + CHI_LATTICE_STEP, self.grid)
+        assert pair_dot(lo.chi, hi.chi, self.grid) > 0.9
+
+    @pytest.mark.parametrize("c", [0.9985, -0.9985, 0.0015, -0.0015])
+    def test_edge_cells_stay_admissible(self, c):
+        """Near |c| = 0 and |c| = 1 the cell extrapolates from admissible
+        nodes, so a lookup yields finite rows or a ModulationError."""
+        try:
+            rows = ChiCache(self.grid).mode_for(c).shifted(0.0)
+        except ModulationError:
+            return
+        assert np.all(np.isfinite(rows))

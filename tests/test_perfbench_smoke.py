@@ -77,3 +77,5 @@ def test_traced_modulate_track_counts_one_track(tmp_path):
     nsol = guess.n_solitons
     assert totals.get("modulation.chi_lookups", 0) == nsol * report["counters"]["condition_evals"]
     assert report["counters"]["condition_evals"] > 0
+    # every negative-mode solve is one the track counts
+    assert totals.get("modulation.negative_mode.calls", 0) == report["counters"]["chi_solves"]
