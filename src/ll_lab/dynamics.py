@@ -89,7 +89,7 @@ class IntegratorConfig:
 
 
 def _check_vacuum(one_minus_v2: np.ndarray) -> None:
-    if float(np.min(one_minus_v2)) < VACUUM_GUARD:
+    if float(one_minus_v2.min()) < VACUUM_GUARD:
         raise VacuumBreakdown("1 - v^2 fell below the vacuum guard during evaluation")
 
 

@@ -14,14 +14,20 @@ solving the 2N orthogonality conditions F_2j = s_j <eps, Q_j'> and
 F_2j+1 = s_j <eps, chi_j> for (c_j, a_j) by Newton iteration.  chi_c is a
 function of c alone: :class:`ChiCache` solves it once per node c_k = k h of
 a fixed speed lattice and interpolates linearly within the cell that holds
-c.  Each trial point is one evaluation of F and its exact Jacobian: eps
-moves by d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc; the
-translation rows add s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in
-a_j, and the chi rows add s_j <eps, d chi_j/dc> in c_j (the slope of the
-cell) and -s_j <eps, chi_j'> in a_j (see :func:`_modulate_raw`).  The
-profile derivatives come from the closed-form jet ``soliton_hydro_jet``,
-(chi_j, chi_j', d chi_j/dc) from one inverse transform of the interpolated
-spectrum, and the 6N pairings with eps from one matrix product.
+c.  Each Newton point is evaluated in two passes over all N solitons at
+once.  The residual pass, run at the start and at every trial point, builds
+(Q_j, Q_j') from one cosh and one tanh over (N, n), eps, chi_j from one
+inverse transform of the 2N translated chi rows, and F from the 2N
+pairings with eps.  The Jacobian pass, run only at a point the iteration
+steps from, adds the exact Jacobian: eps moves by d eps/d a_k = s_k Q_k'
+and d eps/d c_k = -s_k dQ_k/dc; the translation rows add
+s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows
+add s_j <eps, d chi_j/dc> in c_j (the slope of the cell) and
+-s_j <eps, chi_j'> in a_j (see :func:`_modulate_raw`).  Its profile
+derivatives come from the closed-form jet ``soliton_hydro_jet``,
+(chi_j', d chi_j/dc) from one inverse transform of 4N rows, and its 4N
+pairings with eps.  A converged point, and a
+rejected line-search trial, never builds a Jacobian.
 ``track_modulation`` runs this along a trajectory, starting each snapshot
 from the previous speeds and from the previous centers advanced by c_j dt;
 the snapshot where the decomposition is lost ends the track and is recorded
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -244,10 +250,8 @@ class NegativeMode:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """rfft of the rows (chi_v, chi_w, chi_v', chi_w'), ' the spectral
-        derivative."""
-        hat = np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
-        return np.concatenate([hat, self.grid.ik * hat])
+        """rfft of the rows (chi_v, chi_w)."""
+        return np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
 
 
 def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
@@ -342,64 +346,66 @@ CHI_LATTICE_STEP = 0.02
 solves the negative directions."""
 
 
-@dataclass(frozen=True, eq=False)
-class InterpolatedMode:
-    """chi_c interpolated on the speed lattice: ``spectrum`` is the rfft of
-    the rows (chi_v, chi_w, chi_v', chi_w', d chi_v/dc, d chi_w/dc) of the
-    mode centered at ``center``."""
-
-    grid: Grid
-    center: float
-    spectrum: np.ndarray
-
-    def shifted(self, center: float) -> np.ndarray:
-        """The six rows translated from the mode's center to ``center`` by a
-        Fourier phase ramp, shape (6, n)."""
-        phase = np.exp(-1j * self.grid.rfft_wavenumbers * (center - self.center))
-        return np.fft.irfft(phase * self.spectrum, n=self.grid.n)
-
-
 class ChiCache:
     """Negative directions as a function of the speed alone.
 
     :func:`negative_mode` is solved once per node c_k = k h of the fixed
-    lattice h = ``CHI_LATTICE_STEP``, at the grid midpoint, and chi_c is the
-    linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h on the cell
-    that holds c, so d chi/dc is the slope of the cell.  Nodes keep to
-    h <= |c_k| <= 1 - h: where a bracketing node would leave that range, the
-    two nearest admissible nodes of the same sign are used (linear
-    extrapolation).  The interpolant is not renormalized; its L^2 norm is
-    1 - O(h^2), and the orthogonality conditions are homogeneous in chi.
-    ``solves`` counts the calls of :func:`negative_mode` the cache made and
-    ``davidson_iters`` their Davidson iterations.
+    lattice h = ``CHI_LATTICE_STEP``, at the grid midpoint ``center``, and
+    chi_c is the linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h
+    on the cell that holds c, so d chi/dc is the slope of the cell.  Nodes
+    keep to h <= |c_k| <= 1 - h: where a bracketing node would leave that
+    range, the two nearest admissible nodes of the same sign are used
+    (linear extrapolation).  The interpolant is not renormalized; its L^2
+    norm is 1 - O(h^2), and the orthogonality conditions are homogeneous in
+    chi.  ``nodes`` lists the solved nodes by speed, ``solves`` counts them
+    and ``davidson_iters`` totals their Davidson iterations.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.solves = 0
-        self.davidson_iters = 0
+        self.center = grid.x_min + 0.5 * grid.period
         self._nodes: dict[int, NegativeMode] = {}
+        self._cells: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+
+    @property
+    def nodes(self) -> list[NegativeMode]:
+        return [self._nodes[k] for k in sorted(self._nodes)]
+
+    @property
+    def solves(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def davidson_iters(self) -> int:
+        return sum(mode.iterations for mode in self._nodes.values())
 
     def _node(self, k: int) -> NegativeMode:
         mode = self._nodes.get(k)
         if mode is None:
             mode = negative_mode(k * CHI_LATTICE_STEP, self.grid)
-            self.solves += 1
-            self.davidson_iters += mode.iterations
             self._nodes[k] = mode
         return mode
 
-    def mode_for(self, c: float) -> InterpolatedMode:
-        """chi_c, d chi/dc and their x-derivatives from the cell of c."""
+    def _cell(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(c_k, chi spectrum at c_k, slope) of the cell [c_k, c_k+1]."""
+        cell = self._cells.get(k)
+        if cell is None:
+            lo, hi = self._node(k), self._node(k + 1)
+            cell = (lo.c, lo._spectrum, (hi._spectrum - lo._spectrum) / CHI_LATTICE_STEP)
+            self._cells[k] = cell
+        return cell
+
+    def mode_for(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rfft of the rows (chi_v, chi_w) at c and of their slope
+        (d chi_v/dc, d chi_w/dc), centered at ``center``: two arrays of
+        shape (2, n//2 + 1)."""
         if not 0.0 < abs(c) < 1.0:
             raise ModulationError(f"speed out of range: no negative direction at c = {c}")
         top = round(1.0 / CHI_LATTICE_STEP) - 1   # the last admissible node index
         k = math.floor(c / CHI_LATTICE_STEP)
         k = min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
-        lo, hi = self._node(k), self._node(k + 1)
-        slope = (hi._spectrum - lo._spectrum) / CHI_LATTICE_STEP
-        spectrum = np.concatenate([lo._spectrum + (c - lo.c) * slope, slope[:2]])
-        return InterpolatedMode(grid=self.grid, center=lo.center, spectrum=spectrum)
+        c_lo, lo, slope = self._cell(k)
+        return lo + (c - c_lo) * slope, slope
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +417,11 @@ class ModulationResult:
     """Decomposition s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps orthogonal
     to the translation modes and negative directions of every soliton.
 
-    ``condition_evals`` counts the evaluations of the conditions and their
-    Jacobian (one at the starting point and one per Newton trial point, each
-    looking up chi once per soliton), ``backtracks`` the step halvings of
-    the line search.
+    ``condition_evals`` counts the residual passes, evaluations of the
+    conditions (one at the starting point and one per Newton trial point,
+    each looking up chi once per soliton); the Jacobian pass runs once per
+    Newton step, so ``newton_iters`` counts those.  ``backtracks`` counts
+    the step halvings of the line search.
     """
 
     speeds: np.ndarray
@@ -429,53 +436,76 @@ class ModulationResult:
 
 
 def _guarded_sum(speeds, centers, signs, grid: Grid,
-                 speed_margin: float) -> tuple[np.ndarray, list[ProfileJet]]:
+                 speed_margin: float) -> tuple[np.ndarray, ProfileJet]:
     """The superposition sum_k s_k Q_k as a (2, n) array, with the profile
-    jet of every soliton, once the speeds pass the ordering and range guards."""
-    if np.any(np.diff(speeds) <= 0.0):
-        raise ModulationError(f"ordering lost: speeds {speeds.tolist()} are not increasing")
-    if np.any(np.abs(speeds) >= 1.0 - speed_margin) or np.any(np.abs(speeds) <= speed_margin):
+    jet of all solitons, once the speeds pass the ordering and range guards."""
+    # on Python floats: N is small, and these run at every residual pass
+    cs = speeds.tolist()
+    if any(b <= a for a, b in zip(cs, cs[1:])):
+        raise ModulationError(f"ordering lost: speeds {cs} are not increasing")
+    if any(abs(c) >= 1.0 - speed_margin or abs(c) <= speed_margin for c in cs):
         raise ModulationError(
-            f"speed out of range: speeds {speeds.tolist()} left "
+            f"speed out of range: speeds {cs} left "
             f"[{speed_margin}, {1.0 - speed_margin}] in magnitude")
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
-def _conditions(params: np.ndarray, state: np.ndarray, grid: Grid,
-                signs: np.ndarray, chi: ChiCache,
-                speed_margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The conditions F, their exact Jacobian J (formulas in
-    :func:`_modulate_raw`) and eps, at p = params for the state (v, w)
-    given as a (2, n) array."""
+class _Point(NamedTuple):
+    """What the Jacobian pass reuses from the residual pass at one point."""
+
+    jet: ProfileJet          # the N profiles over (N, n)
+    ramp: np.ndarray         # (N, n//2 + 1) phase ramps translating to a_j
+    ramped: np.ndarray       # (N, 2, n//2 + 1) chi_j spectra, translated
+    slopes: np.ndarray       # (N, 2, n//2 + 1) d chi_j/dc spectra at the center
+    fields: np.ndarray       # (N, 2, 2, n): Q_j', chi_j
+
+
+def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarray,
+              chi: ChiCache, speed_margin: float) -> tuple[np.ndarray, np.ndarray, _Point]:
+    """The conditions F and eps at p = params for the state (v, w) given as
+    a (2, n) array, with the :class:`_Point` that :func:`_jacobian` needs.
+    Q and Q' come from one cosh and one tanh over (N, n), chi_j from one
+    inverse transform of the 2N translated chi rows."""
     nsol = len(signs)
     speeds = params[:nsol]
     centers = params[nsol:]
-    total, jets = _guarded_sum(speeds, centers, signs, grid, speed_margin)
+    total, jet = _guarded_sum(speeds, centers, signs, grid, speed_margin)
     eps = state - total
+    modes = [chi.mode_for(c) for c in speeds]
+    ramp = np.exp(-1j * grid.rfft_wavenumbers * (centers - chi.center)[:, None])
+    ramped = ramp[:, None, :] * np.stack([hat for hat, _ in modes])
+    fields = np.empty((nsol, 2, 2, grid.n))
+    fields[:, 0] = jet.dx
+    fields[:, 1] = np.fft.irfft(ramped, n=grid.n)
+    f = (fields.reshape(2 * nsol, -1) @ eps.reshape(-1)) * (grid.dx * np.repeat(signs, 2))
+    return f, eps, _Point(jet, ramp, ramped, np.stack([slope for _, slope in modes]), fields)
 
-    # the six fields of each soliton paired with eps:
-    # Q_j', chi_j, dQ_j'/dc, Q_j'', chi_j', d chi_j/dc
-    fields = np.empty((nsol, 6, 2, grid.n))
-    for j, jet in enumerate(jets):
-        chi_rows = chi.mode_for(speeds[j]).shifted(centers[j]).reshape(3, 2, grid.n)
-        fields[j, 0] = jet.dx
-        fields[j, 1] = chi_rows[0]
-        fields[j, 2] = jet.dcdx
-        fields[j, 3] = jet.dxx
-        fields[j, 4:] = chi_rows[1:]
-    pairs = (fields.reshape(nsol, 6, -1) @ eps.reshape(-1)) * (grid.dx * signs[:, None])
-    f = pairs[:, :2].reshape(-1)
+
+def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> np.ndarray:
+    """The exact Jacobian of the conditions (formulas in
+    :func:`_modulate_raw`) at the point of a residual pass that left eps:
+    dQ'/dc, Q'' and dQ/dc from the jet, (chi_j', d chi_j/dc) from one
+    inverse transform of 4N rows, and the 4N pairings with eps."""
+    nsol = len(signs)
+    jet = point.jet
+    rows = np.concatenate([grid.ik * point.ramped, point.ramp[:, None, :] * point.slopes], axis=1)
+    chi_rows = np.fft.irfft(rows, n=grid.n).reshape(nsol, 2, -1)
+    eps_flat = eps.reshape(-1)
+    weight = grid.dx * signs
+    # s_j <eps, .> of dQ_j'/dc, Q_j'', chi_j', d chi_j/dc
+    dcdx = (jet.dcdx.reshape(nsol, -1) @ eps_flat) * weight
+    dxx = (jet.dxx.reshape(nsol, -1) @ eps_flat) * weight
+    dchi = (chi_rows @ eps_flat) * weight[:, None]
     # d eps/d c_k, d eps/d a_k
-    cols = np.concatenate([-signs[:, None, None] * np.stack([jet.dc for jet in jets]),
-                           signs[:, None, None] * fields[:, 0]])
-    jac = (fields[:, :2].reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
+    cols = np.concatenate([-signs[:, None, None] * jet.dc, signs[:, None, None] * jet.dx])
+    jac = (point.fields.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
     jac *= np.repeat(signs, 2)[:, None]
     j = np.arange(nsol)
-    jac[2 * j, j] += pairs[:, 2]
-    jac[2 * j, nsol + j] -= pairs[:, 3]
-    jac[2 * j + 1, nsol + j] -= pairs[:, 4]
-    jac[2 * j + 1, j] += pairs[:, 5]
-    return f, jac, eps
+    jac[2 * j, j] += dcdx
+    jac[2 * j, nsol + j] -= dxx
+    jac[2 * j + 1, nsol + j] -= dchi[:, 0]
+    jac[2 * j + 1, j] += dchi[:, 1]
+    return jac
 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
@@ -487,9 +517,11 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
         eps = s - sum_k s_k Q_k,  Q_k = Q_{c_k}(. - a_k),
 
-    with chi_j the lattice interpolant of chi_{c_j} translated to a_j.  Each
-    trial point is one evaluation returning F and its exact Jacobian: with
-    d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc,
+    with chi_j the lattice interpolant of chi_{c_j} translated to a_j.  The
+    start and every trial point are one residual pass (:func:`_residual`);
+    the exact Jacobian (:func:`_jacobian`) is built only at a point the
+    iteration steps from: with d eps/d a_k = s_k Q_k' and
+    d eps/d c_k = -s_k dQ_k/dc,
 
         dF_2j/dc_k   = -s_j s_k <dQ_k/dc, Q_j'> + [k = j] s_j <eps, dQ_j'/dc>,
         dF_2j/da_k   =  s_j s_k <Q_k', Q_j'>    - [k = j] s_j <eps, Q_j''>,
@@ -500,14 +532,14 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
     state = np.stack([sv, sw])
     evals = 0
 
-    def conditions(params: np.ndarray):
+    def residual(params: np.ndarray):
         nonlocal evals
-        out = _conditions(params, state, grid, signs, chi, speed_margin)
+        out = _residual(params, state, grid, signs, chi, speed_margin)
         evals += 1
         return out
 
     p = np.concatenate([speeds0, centers0]).astype(float)
-    f, jac, eps = conditions(p)
+    f, eps, point = residual(p)
     iters = 0
     backtracks = 0
     # drive the conditions to an absolute 1e-10, the floor of every
@@ -515,7 +547,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
     # this costs at most one iteration beyond the stated criterion
     while np.max(np.abs(f)) > 1e-10 and iters < max_iter:
         try:
-            step = np.linalg.solve(jac, f)
+            step = np.linalg.solve(_jacobian(point, eps, grid, signs), f)
         except np.linalg.LinAlgError as exc:
             raise ModulationError(f"no convergence: singular Jacobian ({exc})") from exc
         # backtracking: a full step that reduces max|f| is accepted as-is
@@ -526,7 +558,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         scale = 1.0
         while True:
             try:
-                trial = conditions(p - scale * step)
+                trial = residual(p - scale * step)
             except ModulationError:
                 trial = None
             if trial is not None and (np.max(np.abs(trial[0])) < fmax
@@ -541,7 +573,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
             scale *= 0.5
             backtracks += 1
         p = p - scale * step
-        f, jac, eps = trial
+        f, eps, point = trial
         iters += 1
 
     ortho = float(np.max(np.abs(f)))
@@ -589,8 +621,9 @@ class ModulationTrack:
     reason the decomposition was lost at the first snapshot that failed;
     the rows stop just before that snapshot.  ``condition_evals`` and
     ``backtracks`` total the counts of the decomposed snapshots, and
-    ``chi_solves`` and ``davidson_iters`` count the negative-mode solves of
-    the whole track and their Davidson iterations.
+    ``chi_nodes`` lists the negative-mode solves of the whole track by node
+    speed, each with its Rayleigh quotient, its eigen-residual and its
+    Davidson iterations.
     """
 
     times: np.ndarray
@@ -603,8 +636,7 @@ class ModulationTrack:
     error: Optional[str] = None
     condition_evals: int = 0
     backtracks: int = 0
-    chi_solves: int = 0
-    davidson_iters: int = 0
+    chi_nodes: tuple[dict, ...] = ()
 
     @property
     def n_solitons(self) -> int:
@@ -616,8 +648,8 @@ class ModulationTrack:
         return {"newton_iters": int(np.sum(self.newton_iters)),
                 "condition_evals": self.condition_evals,
                 "backtracks": self.backtracks,
-                "chi_solves": self.chi_solves,
-                "davidson_iters": self.davidson_iters}
+                "chi_solves": len(self.chi_nodes),
+                "davidson_iters": sum(node["iterations"] for node in self.chi_nodes)}
 
     @cached_property
     def center_rates(self) -> np.ndarray:
@@ -688,7 +720,10 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
                            newton_iters=iters[:done], error=error,
                            condition_evals=evals, backtracks=backtracks,
-                           chi_solves=cache.solves, davidson_iters=cache.davidson_iters)
+                           chi_nodes=tuple({"c": mode.c, "rayleigh": mode.rayleigh,
+                                            "residual": mode.residual,
+                                            "iterations": mode.iterations}
+                                           for mode in cache.nodes))
 
 
 def track_to_csv(track: ModulationTrack, path) -> None:

@@ -428,7 +428,8 @@ class RunReport:
     ``name`` names the output directory, ``config`` echoes the run's inputs
     as JSON, and ``samples`` and ``track`` feed diagnostics.csv and
     modulation.csv when the run has them; the track's work counts are the
-    report's ``counters``, empty for a run without a track.
+    report's ``counters`` and its negative-mode solves its ``chi_nodes``,
+    both empty for a run without a track.
     """
 
     name: str
@@ -449,6 +450,7 @@ class RunReport:
                 "verdicts": [v.to_dict() for v in self.verdicts],
                 "timings": dict(self.timings),
                 "counters": self.track.counters if self.track is not None else {},
+                "chi_nodes": list(self.track.chi_nodes) if self.track is not None else [],
                 "error": self.error}
 
 

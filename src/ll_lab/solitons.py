@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,35 +67,83 @@ def soliton_hydro(c: float, x) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-class ProfileJet(NamedTuple):
-    """The hydrodynamic profile and the derivatives the modulation Newton
-    Jacobian needs, each as a stacked (v, w) array of shape (2,) + x.shape."""
+@dataclass(frozen=True, eq=False)
+class ProfileJet:
+    """The hydrodynamic profile Q_c at the points x and the derivatives the
+    modulation Newton Jacobian needs, each a stacked (v, w) array with the
+    pair on the second-to-last axis: c of shape (N, 1) and x of shape (N, n)
+    give N profiles as (N, 2, n) arrays.
 
-    q: np.ndarray       # Q_c
-    dx: np.ndarray      # Q_c'
-    dxx: np.ndarray     # Q_c''
-    dc: np.ndarray      # dQ_c/dc at fixed x
-    dcdx: np.ndarray    # dQ_c'/dc at fixed x
+    Q and Q' are evaluated by :func:`soliton_hydro_jet`.  Q'', dQ/dc and
+    dQ'/dc reuse its intermediates (y = nu x, v, t = tanh(y), om = 1 - v^2)
+    and are computed when first read, so a caller that needs only Q and Q'
+    pays for nothing more.  With g = (1 + v^2)/om^2 and dnu/dc = -c/nu:
 
-
-def soliton_hydro_jet(c: float, x) -> ProfileJet:
-    """Q_c, its first two x-derivatives and its c-derivatives, from one cosh
-    and one tanh of nu*x.
-
-    With y = nu*x, t = tanh(y), om = 1 - v^2, g = (1 + v^2)/om^2 and
-    dnu/dc = -c/nu:
-
-        v' = -nu v t,                 v'' = v (nu^2 - 2 v^2),
-        w' = c g v',                  w'' = c (g v'' + 2 v (3 + v^2) v'^2 / om^3),
+        v'' = v (nu^2 - 2 v^2),
+        w'' = c (g v'' + 2 v (3 + v^2) v'^2 / om^3),
         dv/dc = -c v (1 - y t)/nu^2,  dw/dc = v/om + c g dv/dc,
         dv'/dc = (c/nu) v (2 t + y (2 v^2/nu^2 - 1)),
         dw'/dc = g v' + c g dv'/dc + 2 c v (3 + v^2) v' dv/dc / om^3.
+    """
+
+    c: np.ndarray
+    nu: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+    om: np.ndarray
+    q: np.ndarray       # Q_c
+    dx: np.ndarray      # Q_c'
+
+    @cached_property
+    def _c_jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q'', dQ/dc, dQ'/dc), evaluated together from the intermediates."""
+        c, nu, y, v, t, om = self.c, self.nu, self.y, self.v, self.t, self.om
+        dv = self.dx[..., 0, :]
+        vv = v * v
+        nu2 = nu * nu
+        om2 = om * om
+        g = (1.0 + vv) / om2
+        dg = 2.0 * v * (3.0 + vv) / (om2 * om)   # dg/dv
+        cg = c * g
+        d2v = v * (nu2 - 2.0 * vv)
+        d2w = c * (g * d2v + dg * dv * dv)
+        cv = -c * v * (1.0 - y * t) / nu2
+        cw = v / om + cg * cv
+        cdv = (c / nu) * v * (2.0 * t + y * (2.0 * vv / nu2 - 1.0))
+        cdw = g * dv + cg * cdv + c * dg * dv * cv
+        return (np.stack([d2v, d2w], axis=-2), np.stack([cv, cw], axis=-2),
+                np.stack([cdv, cdw], axis=-2))
+
+    @property
+    def dxx(self) -> np.ndarray:
+        """Q_c''."""
+        return self._c_jet[0]
+
+    @property
+    def dc(self) -> np.ndarray:
+        """dQ_c/dc at fixed x."""
+        return self._c_jet[1]
+
+    @property
+    def dcdx(self) -> np.ndarray:
+        """dQ_c'/dc at fixed x."""
+        return self._c_jet[2]
+
+
+def soliton_hydro_jet(c, x) -> ProfileJet:
+    """Q_c and Q_c' at the points x from one cosh and one tanh of nu*x, as a
+    :class:`ProfileJet` that supplies the remaining derivatives on demand.
+    c is a speed or an array that broadcasts against x.
 
     Q is evaluated exactly as in :func:`soliton_hydro`, and Q' with the
     same operations as the closed form v' = -nu v tanh(nu x),
     w' = c v' (1 + v^2)/(1 - v^2)^2.
     """
-    nu = soliton_nu(c)
+    c = np.asarray(c, dtype=float)
+    if not np.all((0.0 < np.abs(c)) & (np.abs(c) < 1.0)):
+        raise ValueError(f"soliton speed must satisfy 0 < |c| < 1, got {c.tolist()}")
+    nu = np.sqrt(1.0 - c * c)
     x = np.asarray(x, dtype=float)
     y = nu * x
     v = nu / np.cosh(y)
@@ -104,16 +152,8 @@ def soliton_hydro_jet(c: float, x) -> ProfileJet:
     w = c * v / om
     dv = -nu * v * t
     dw = c * dv * (1.0 + v * v) / om ** 2
-    g = (1.0 + v * v) / (om * om)
-    dg = 2.0 * v * (3.0 + v * v) / om ** 3   # dg/dv
-    d2v = v * (nu * nu - 2.0 * v * v)
-    d2w = c * (g * d2v + dg * dv * dv)
-    cv = -c * v * (1.0 - y * t) / (nu * nu)
-    cw = v / om + c * g * cv
-    cdv = (c / nu) * v * (2.0 * t + y * (2.0 * v * v / (nu * nu) - 1.0))
-    cdw = g * dv + c * g * cdv + c * dg * dv * cv
-    return ProfileJet(np.stack([v, w]), np.stack([dv, dw]), np.stack([d2v, d2w]),
-                      np.stack([cv, cw]), np.stack([cdv, cdw]))
+    return ProfileJet(c, nu, y, v, t, om, np.stack([v, w], axis=-2),
+                      np.stack([dv, dw], axis=-2))
 
 
 def soliton_energy(c: float) -> float:
@@ -222,16 +262,13 @@ def speed_gaps(speeds: Sequence[float]) -> SpeedGaps:
     return SpeedGaps(mu=mu, nu=nu, delta=delta)
 
 
-def _sum_profile_arrays(speeds, centers, signs,
-                        grid: Grid) -> tuple[np.ndarray, list[ProfileJet]]:
+def _sum_profile_arrays(speeds: np.ndarray, centers: np.ndarray, signs: np.ndarray,
+                        grid: Grid) -> tuple[np.ndarray, ProfileJet]:
     """Pointwise sum of hydrodynamic profiles as a (2, n) array, centers
-    wrapped periodically, with the jet of every profile."""
-    jets = [soliton_hydro_jet(c, grid.periodic_offset(grid.x, a))
-            for c, a in zip(speeds, centers)]
-    total = np.zeros((2, grid.n))
-    for s, jet in zip(signs, jets):
-        total += s * jet.q
-    return total, jets
+    wrapped periodically, with the jet of all N profiles as one
+    :class:`ProfileJet` over (N, n)."""
+    jet = soliton_hydro_jet(speeds[:, None], grid.periodic_offset(grid.x, centers[:, None]))
+    return np.sum(signs[:, None, None] * jet.q, axis=0), jet
 
 
 def multi_soliton_sum(config: MultiSolitonConfig, grid: Grid) -> HydroState:

@@ -23,7 +23,8 @@ from ll_lab import (Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
                     soliton_hydro)
 from ll_lab.cli import main
 
-REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "counters", "error"}
+REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "counters", "chi_nodes",
+               "error"}
 
 TINY = {
     "name": "tiny",
@@ -253,6 +254,25 @@ class TestModulateTrack:
         assert c["condition_evals"] == c["newton_iters"] + len(traj) + c["backtracks"]
         assert c["chi_solves"] >= 1
         assert c["davidson_iters"] >= c["chi_solves"]
+
+    def test_chi_nodes_repeat_and_are_certified(self, tmp_path):
+        """report.json lists every negative-mode solve of the track by node
+        speed, identically from run to run, each certified negative."""
+        path = self._trajectory_file(tmp_path)
+        guess = self._guess_file(tmp_path)
+        payloads = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main(["modulate-track", str(path), str(guess), "--out", str(out)]) == 0
+            payloads.append(json.loads((out / "run" / "report.json").read_text()))
+        nodes = payloads[0]["chi_nodes"]
+        assert nodes == payloads[1]["chi_nodes"]
+        assert len(nodes) == payloads[0]["counters"]["chi_solves"]
+        assert [node["c"] for node in nodes] == sorted(node["c"] for node in nodes)
+        assert sum(node["iterations"] for node in nodes) == payloads[0]["counters"]["davidson_iters"]
+        for node in nodes:
+            assert set(node) == {"c", "rayleigh", "residual", "iterations"}
+            assert node["rayleigh"] < 0.0
+            assert node["residual"] <= 2e-7
 
     def test_bad_magic_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.traj"

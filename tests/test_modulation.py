@@ -15,9 +15,11 @@ from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfi
                     Trajectory, evolve, grad_EP, hessian_apply, integrate, modulate,
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
                     track_to_csv, x_norm)
-from ll_lab.modulation import CHI_LATTICE_STEP, _conditions
+from ll_lab import modulation
+from ll_lab.modulation import CHI_LATTICE_STEP, _jacobian, _residual
 from ll_lab.scenarios import random_smooth_pair
 
+import modulation_oracle
 from field_oracle import shift_array, soliton_hydro_derivative
 
 # Frozen lowest eigenvalues of H_c on the period-102.4 grid (see module
@@ -37,6 +39,24 @@ def pair_l2(h):
 
 def pair_dot(a, b, grid):
     return integrate(a[0].values * b[0].values + a[1].values * b[1].values, grid)
+
+
+def conditions(p, state, grid, signs, cache, speed_margin=1e-3):
+    """(F, J, eps) at p: the residual pass, then the Jacobian pass."""
+    f, eps, point = _residual(p, state, grid, signs, cache, speed_margin)
+    return f, _jacobian(point, eps, grid, signs), eps
+
+
+def count_jacobians(monkeypatch):
+    """Record every Jacobian pass the Newton iteration makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return _jacobian(*args)
+
+    monkeypatch.setattr(modulation, "_jacobian", spy)
+    return calls
 
 
 class TestNegativeMode:
@@ -275,6 +295,19 @@ class TestModulate:
         assert len(lookups) == 2 * (result.newton_iters + 1)
         assert result.condition_evals == result.newton_iters + 1
 
+    @pytest.mark.parametrize("shift, dc, halved", [(0.3, 0.0, False), (0.4, 0.02, True)])
+    def test_one_jacobian_per_newton_step(self, monkeypatch, shift, dc, halved):
+        """The Jacobian is built only at the points the iteration steps
+        from: never at the converged point, never at a rejected trial."""
+        truth = MultiSolitonConfig((SolitonParams(-0.5 + dc, -15.0 + shift),
+                                    SolitonParams(0.5 + dc, 15.0 + shift)), min_separation=30.0)
+        state = multi_soliton_sum(truth, self.grid)
+        jacobians = count_jacobians(monkeypatch)
+        result = modulate(state, self.cfg)
+        assert result.newton_iters >= 2
+        assert (result.backtracks > 0) == halved
+        assert len(jacobians) == result.newton_iters
+
     def test_speed_out_of_range_reason(self):
         state = multi_soliton_sum(self.cfg, self.grid)
         racy = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
@@ -292,39 +325,57 @@ class TestModulate:
             modulate(state, guess, max_iter=2)
 
 
+CONFIGURATIONS = [
+    [(0.4, 0.0, 1)],
+    [(-0.6, 0.0, -1)],
+    [(-0.5, -15.0, 1), (0.5, 15.0, 1)],
+    [(-0.5, -15.0, 1), (0.5, 15.0, -1)],
+    [(-0.6, -25.0, 1), (0.3, 0.0, 1), (0.7, 25.0, 1)],
+    [(-0.6, -25.0, -1), (0.3, 0.0, 1), (0.7, 25.0, -1)],
+]
+
+
 class TestConditionsJacobian:
-    """The closed-form Newton Jacobian against a central difference of the
-    conditions, the c-column of the chi rows included: chi is linear in c
-    within a lattice cell, and no point here leaves its cell."""
+    """The residual and Jacobian passes against the one-soliton-at-a-time
+    reference evaluation, and the Jacobian against a central difference of
+    the conditions, the c-column of the chi rows included: chi is linear in
+    c within a lattice cell, and no point here leaves its cell."""
 
     grid = Grid(n=1024, dx=0.1, x_min=-51.2)
 
-    @pytest.mark.parametrize("params", [
-        [(0.4, 0.0, 1)],
-        [(-0.6, 0.0, -1)],
-        [(-0.5, -15.0, 1), (0.5, 15.0, 1)],
-        [(-0.5, -15.0, 1), (0.5, 15.0, -1)],
-        [(-0.6, -25.0, 1), (0.3, 0.0, 1), (0.7, 25.0, 1)],
-        [(-0.6, -25.0, -1), (0.3, 0.0, 1), (0.7, 25.0, -1)],
-    ])
-    def test_matches_central_difference(self, params):
+    def _setup(self, params):
         cfg = MultiSolitonConfig(tuple(SolitonParams(c, a, s) for c, a, s in params),
                                  min_separation=10.0)
         state = multi_soliton_sum(cfg, self.grid)
         dv, dw = random_smooth_pair(self.grid, amplitude=0.02, seed=5)
         perturbed = np.stack([state.v.values + dv, state.w.values + dw])
-        signs = cfg.signs.astype(float)
-        cache = ChiCache(self.grid)
         # off the solution, so that every eps-weighted term is exercised
         p0 = np.concatenate([cfg.speeds + 3e-3, cfg.centers + 0.05])
+        return perturbed, cfg.signs.astype(float), p0
 
-        def conditions(p):
-            return _conditions(p, perturbed, self.grid, signs, cache, 1e-3)
+    @pytest.mark.parametrize("params", CONFIGURATIONS)
+    def test_matches_reference_conditions(self, params):
+        perturbed, signs, p0 = self._setup(params)
+        cache = ChiCache(self.grid)
+        f, jac, eps = conditions(p0, perturbed, self.grid, signs, cache)
+        f_ref, jac_ref, eps_ref = modulation_oracle.conditions(
+            p0, perturbed, self.grid, signs, cache, 1e-3)
+        assert np.max(np.abs(f - f_ref)) <= 1e-14 * np.max(np.abs(f_ref))
+        assert np.max(np.abs(eps - eps_ref)) <= 1e-14 * np.max(np.abs(eps_ref))
+        assert np.max(np.abs(jac - jac_ref)) <= 1e-13 * np.max(np.abs(jac_ref))
 
-        _, jac, _ = conditions(p0)
+    @pytest.mark.parametrize("params", CONFIGURATIONS)
+    def test_matches_central_difference(self, params):
+        perturbed, signs, p0 = self._setup(params)
+        cache = ChiCache(self.grid)
+
+        def residual(p):
+            return _residual(p, perturbed, self.grid, signs, cache, 1e-3)[0]
+
+        _, jac, _ = conditions(p0, perturbed, self.grid, signs, cache)
         h = 1e-5
-        fd = np.column_stack([(conditions(p0 + h * e)[0] - conditions(p0 - h * e)[0])
-                              / (2.0 * h) for e in np.eye(len(p0))])
+        fd = np.column_stack([(residual(p0 + h * e) - residual(p0 - h * e)) / (2.0 * h)
+                              for e in np.eye(len(p0))])
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
         assert cache.solves == 2 * len(params)
 
@@ -349,6 +400,15 @@ class TestTrackModulation:
         assert np.all(track.newton_iters <= 5)
         assert track.newton_iters[0] == 0
         assert np.max(track.eps_norms) < 1e-5
+
+    def test_one_jacobian_per_newton_step(self, monkeypatch):
+        traj, _ = self._tw_trajectory()
+        guess = MultiSolitonConfig((SolitonParams(0.503, 0.05),), min_separation=10.0)
+        jacobians = count_jacobians(monkeypatch)
+        track = track_modulation(traj, guess)
+        assert track.error is None
+        assert np.sum(track.newton_iters) >= 2
+        assert len(jacobians) == np.sum(track.newton_iters)
 
     def test_snapshot_decomposition_independent_of_track_start(self):
         """Decomposing snapshot k gives the same (c, a) whether the track
@@ -424,8 +484,10 @@ class TestChiCache:
 
     def test_node_speed_gives_the_node_mode(self):
         node = negative_mode(0.6, self.grid)
-        rows = ChiCache(self.grid).mode_for(0.6).shifted(node.center)
-        assert rows.shape == (6, self.grid.n)
+        cache = ChiCache(self.grid)
+        assert cache.center == node.center
+        rows = np.fft.irfft(cache.mode_for(0.6)[0], n=self.grid.n)
+        assert rows.shape == (2, self.grid.n)
         assert np.max(np.abs(rows[0] - node.chi[0].values)) < 1e-12
         assert np.max(np.abs(rows[1] - node.chi[1].values)) < 1e-12
 
@@ -442,9 +504,8 @@ class TestChiCache:
         used = ChiCache(self.grid)
         for c in (0.47, -0.53, 0.51, -0.49, 0.3):
             used.mode_for(c)
-        f_fresh, j_fresh, _ = _conditions(p, perturbed, self.grid, signs,
-                                          ChiCache(self.grid), 1e-3)
-        f_used, j_used, _ = _conditions(p, perturbed, self.grid, signs, used, 1e-3)
+        f_fresh, j_fresh, _ = conditions(p, perturbed, self.grid, signs, ChiCache(self.grid))
+        f_used, j_used, _ = conditions(p, perturbed, self.grid, signs, used)
         assert np.array_equal(f_fresh, f_used)
         assert np.array_equal(j_fresh, j_used)
 
@@ -459,7 +520,7 @@ class TestChiCache:
         """Near |c| = 0 and |c| = 1 the cell extrapolates from admissible
         nodes, so a lookup yields finite rows or a ModulationError."""
         try:
-            rows = ChiCache(self.grid).mode_for(c).shifted(0.0)
+            rows = np.fft.irfft(np.concatenate(ChiCache(self.grid).mode_for(c)), n=self.grid.n)
         except ModulationError:
             return
         assert np.all(np.isfinite(rows))
