@@ -9,8 +9,9 @@ counters, chi_nodes, error).  Exit codes:
 - ``simulate``: 0 when every scenario passes every verdict; 1 when any
   scenario fails a verdict or stops on a runtime failure (dynamics
   breakdown, loss of modulation, any other exception), each report still
-  written; 2 for a missing or malformed config or duplicate scenario names,
-  with nothing written.
+  written; 2 for a missing or malformed config (a dt above the step bound
+  cfl_factor * dx^2, or one that does not divide t_end, included) or
+  duplicate scenario names, with nothing written.
 - ``monotonicity-audit``: as ``simulate`` for its one scenario, judged on
   the localized-momentum and rate verdicts only; 2 also when
   ``diagnostics.y0_list`` is empty.
@@ -18,7 +19,8 @@ counters, chi_nodes, error).  Exit codes:
   iteration and orthogonality verdicts pass; 1 when the decomposition is
   lost at some snapshot (the report and the rows before it are written) or
   a verdict fails; 2 for a missing or unreadable trajectory or guess file,
-  with nothing written.
+  with nothing written.  The guess file is a scenario's ``solitons``
+  section, read as strictly as a scenario config.
 - ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
   run breaks down (the runs before it are written) or a margin is negative;
   2 for an invalid option, with nothing written.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -49,12 +50,13 @@ from .scenarios import (
     RunReport,
     ScenarioConfig,
     Verdict,
+    load_config,
     load_scenario,
     random_smooth_pair,
     run_scenario,
     write_report,
 )
-from .solitons import MultiSolitonConfig, SolitonParams, soliton_hydro, soliton_spin
+from .solitons import MultiSolitonConfig, soliton_hydro, soliton_spin
 
 _FMT = "%.17g"
 
@@ -120,28 +122,9 @@ def _cmd_monotonicity_audit(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
-def _load_guess(path: str) -> MultiSolitonConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{p}: no such guess file")
-    try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict) or set(data) != {"params", "min_separation"}:
-        raise ConfigError(f"{p}: expected an object with keys params, min_separation")
-    try:
-        params = tuple(SolitonParams(float(e["c"]), float(e["a"]), int(e.get("s", 1)))
-                       for e in data["params"])
-        return MultiSolitonConfig(params, float(data["min_separation"]))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ConfigError(f"{p}: {exc}") from exc
-
-
 def _cmd_modulate_track(args: argparse.Namespace) -> int:
     try:
-        guess = _load_guess(args.guess)
+        guess = load_config(MultiSolitonConfig, args.guess)
         if not Path(args.trajectory).is_file():
             raise ConfigError(f"{args.trajectory}: no such trajectory file")
         try:
@@ -266,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="track modulation parameters of a saved trajectory")
     p.add_argument("trajectory", help="trajectory file written by save_trajectory")
     p.add_argument("guess", metavar="guess.json",
-                   help="JSON with params [{c, a, s}] and min_separation")
+                   help="the solitons section of a scenario config: "
+                        "params [{c, a, s}] and min_separation")
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.set_defaults(func=_cmd_modulate_track)
 

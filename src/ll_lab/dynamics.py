@@ -68,8 +68,9 @@ class BlowupError(RuntimeError):
 class IntegratorConfig:
     """Time-stepping parameters.
 
-    dt must respect dt <= cfl_factor * dx^2; ``sample_stride`` controls how
-    many steps separate stored snapshots.
+    dt must respect dt <= cfl_factor * dx^2 and divide t_end (see
+    :meth:`n_steps`); ``sample_stride`` controls how many steps separate
+    stored snapshots.
     """
 
     dt: float
@@ -79,13 +80,28 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt: must be positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
+            raise ValueError(f"t_end: must be non-negative, got {self.t_end}")
         if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+            raise ValueError(f"sample_stride: must be >= 1, got {self.sample_stride}")
         if not (0.0 < self.cfl_factor <= 0.2828):
-            raise ValueError(f"cfl_factor must lie in (0, 0.2828], got {self.cfl_factor}")
+            raise ValueError(f"cfl_factor: must lie in (0, 0.2828], got {self.cfl_factor}")
+
+    def n_steps(self, grid: Grid) -> int:
+        """The number of steps to t_end on this grid, once dt is checked
+        against the step bound cfl_factor * dx^2 and against t_end."""
+        limit = self.cfl_factor * grid.dx ** 2
+        if self.dt > limit * (1.0 + 1e-12):
+            raise ValueError(
+                f"dt: {self.dt} exceeds the stability limit {limit} "
+                f"(cfl_factor * dx^2) for dx = {grid.dx}")
+        ratio = self.t_end / self.dt
+        nsteps = int(round(ratio))
+        if abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):
+            raise ValueError(f"dt: t_end = {self.t_end} is not an integer multiple of "
+                             f"dt = {self.dt}")
+        return nsteps
 
 
 def _check_vacuum(one_minus_v2: np.ndarray) -> None:
@@ -312,15 +328,7 @@ def evolve(state: State, config: IntegratorConfig,
     if not is_spin and not isinstance(state, HydroState):
         raise TypeError(f"cannot evolve object of type {type(state).__name__}")
     grid = state.grid
-    limit = config.cfl_factor * grid.dx ** 2
-    if config.dt > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {config.dt} exceeds the stability limit {limit} "
-            f"(cfl_factor * dx^2) for dx = {grid.dx}")
-    ratio = config.t_end / config.dt
-    nsteps = int(round(ratio))
-    if abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError(f"t_end = {config.t_end} is not an integer multiple of dt = {config.dt}")
+    nsteps = config.n_steps(grid)
 
     times = [0.0]
     snapshots = [state]

@@ -56,11 +56,11 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.n < 4 or self.n % 2 != 0:
-            raise ValueError(f"n must be an even integer >= 4, got {self.n}")
+            raise ValueError(f"n: must be an even integer >= 4, got {self.n}")
         if not (np.isfinite(self.dx) and self.dx > 0.0):
-            raise ValueError(f"dx must be finite and positive, got {self.dx}")
+            raise ValueError(f"dx: must be finite and positive, got {self.dx}")
         if not np.isfinite(self.x_min):
-            raise ValueError(f"x_min must be finite, got {self.x_min}")
+            raise ValueError(f"x_min: must be finite, got {self.x_min}")
 
     @property
     def period(self) -> float:

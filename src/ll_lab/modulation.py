@@ -412,6 +412,14 @@ class ChiCache:
 # Newton decomposition
 # ---------------------------------------------------------------------------
 
+MAX_NEWTON_ITERS = 25
+"""Newton iterations a decomposition may take before it fails."""
+
+SPEED_MARGIN = 1e-3
+"""Newton iterates keep SPEED_MARGIN < |c_j| < 1 - SPEED_MARGIN; a point
+outside fails the speed guard of :func:`_guarded_sum`."""
+
+
 @dataclass(frozen=True, eq=False)
 class ModulationResult:
     """Decomposition s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps orthogonal
@@ -421,7 +429,10 @@ class ModulationResult:
     conditions (one at the starting point and one per Newton trial point,
     each looking up chi once per soliton); the Jacobian pass runs once per
     Newton step, so ``newton_iters`` counts those.  ``backtracks`` counts
-    the step halvings of the line search.
+    the step halvings of the line search.  A trial point that fails the
+    speed guard ends its residual pass early and counts as a backtrack but
+    not as an evaluation, so ``condition_evals <= newton_iters + 1 +
+    backtracks``, with equality when every trial point is admissible.
     """
 
     speeds: np.ndarray
@@ -435,18 +446,17 @@ class ModulationResult:
     backtracks: int
 
 
-def _guarded_sum(speeds, centers, signs, grid: Grid,
-                 speed_margin: float) -> tuple[np.ndarray, ProfileJet]:
+def _guarded_sum(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, ProfileJet]:
     """The superposition sum_k s_k Q_k as a (2, n) array, with the profile
     jet of all solitons, once the speeds pass the ordering and range guards."""
     # on Python floats: N is small, and these run at every residual pass
     cs = speeds.tolist()
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ModulationError(f"ordering lost: speeds {cs} are not increasing")
-    if any(abs(c) >= 1.0 - speed_margin or abs(c) <= speed_margin for c in cs):
+    if any(abs(c) >= 1.0 - SPEED_MARGIN or abs(c) <= SPEED_MARGIN for c in cs):
         raise ModulationError(
             f"speed out of range: speeds {cs} left "
-            f"[{speed_margin}, {1.0 - speed_margin}] in magnitude")
+            f"[{SPEED_MARGIN}, {1.0 - SPEED_MARGIN}] in magnitude")
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
@@ -461,7 +471,7 @@ class _Point(NamedTuple):
 
 
 def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarray,
-              chi: ChiCache, speed_margin: float) -> tuple[np.ndarray, np.ndarray, _Point]:
+              chi: ChiCache) -> tuple[np.ndarray, np.ndarray, _Point]:
     """The conditions F and eps at p = params for the state (v, w) given as
     a (2, n) array, with the :class:`_Point` that :func:`_jacobian` needs.
     Q and Q' come from one cosh and one tanh over (N, n), chi_j from one
@@ -469,7 +479,7 @@ def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarr
     nsol = len(signs)
     speeds = params[:nsol]
     centers = params[nsol:]
-    total, jet = _guarded_sum(speeds, centers, signs, grid, speed_margin)
+    total, jet = _guarded_sum(speeds, centers, signs, grid)
     eps = state - total
     modes = [chi.mode_for(c) for c in speeds]
     ramp = np.exp(-1j * grid.rfft_wavenumbers * (centers - chi.center)[:, None])
@@ -510,8 +520,7 @@ def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                   speeds0: np.ndarray, centers0: np.ndarray, signs: np.ndarray,
-                  chi: ChiCache, max_iter: int, speed_margin: float,
-                  state_norm: float) -> ModulationResult:
+                  chi: ChiCache, max_iter: int, state_norm: float) -> ModulationResult:
     """Newton iteration on the 2N conditions, p = (c_1..c_N, a_1..a_N),
 
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
@@ -534,7 +543,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
 
     def residual(params: np.ndarray):
         nonlocal evals
-        out = _residual(params, state, grid, signs, chi, speed_margin)
+        out = _residual(params, state, grid, signs, chi)
         evals += 1
         return out
 
@@ -568,7 +577,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                 # even the floor-damped point is inadmissible; surface the
                 # guard failure of the undamped step
                 full = p - step
-                _guarded_sum(full[:nsol], full[nsol:], signs, grid, speed_margin)
+                _guarded_sum(full[:nsol], full[nsol:], signs, grid)
                 raise ModulationError("no convergence: damping floor reached")
             scale *= 0.5
             backtracks += 1
@@ -593,8 +602,8 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
 
 
 def modulate(state: HydroState, guess: MultiSolitonConfig,
-             chi: Optional[ChiCache] = None, max_iter: int = 25,
-             speed_margin: float = 1e-3) -> ModulationResult:
+             chi: Optional[ChiCache] = None,
+             max_iter: int = MAX_NEWTON_ITERS) -> ModulationResult:
     """Solve the orthogonality conditions for (c_j, a_j) by Newton iteration
     starting from the guess configuration.
 
@@ -605,7 +614,7 @@ def modulate(state: HydroState, guess: MultiSolitonConfig,
         chi = ChiCache(state.grid)
     return _modulate_raw(state.v.values, state.w.values, state.grid,
                          guess.speeds, guess.centers, guess.signs.astype(float),
-                         chi, max_iter, speed_margin, x_norm(state))
+                         chi, max_iter, x_norm(state))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +662,9 @@ class ModulationTrack:
 
     @cached_property
     def center_rates(self) -> np.ndarray:
+        """da_j/dt by differences; NaN when fewer than two rows leave no rate."""
+        if len(self.times) < 2:
+            return np.full_like(self.centers, np.nan)
         return np.gradient(self.centers, self.times, axis=0)
 
 
@@ -700,8 +712,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
             hydro = _as_hydro(snap)
             result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
                                    warm_speeds, warm_centers, signs_f, cache,
-                                   max_iter=25, speed_margin=1e-3,
-                                   state_norm=x_norm(hydro))
+                                   max_iter=MAX_NEWTON_ITERS, state_norm=x_norm(hydro))
         except (ModulationError, VacuumBreakdown) as exc:
             error = f"at t = {times[i]:.6g}: {exc}"
             done = i

@@ -9,8 +9,9 @@ verdicts.  ``write_report`` emits diagnostics.csv, modulation.csv, and
 report.json for every subcommand's ``RunReport``; verdicts are pure
 functions of the emitted series.
 
-Configs are strict JSON: unknown keys are rejected with the offending field
-path, so a typo cannot silently fall back to a default.
+Configs are strict JSON read by ``read_config``, for which the config
+dataclasses are the schema: unknown keys are rejected with the offending
+field path, so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,59 +56,18 @@ from .solitons import (
 
 
 class ConfigError(ValueError):
-    """Malformed scenario config; the message names the offending field."""
-
-
-# ---------------------------------------------------------------------------
-# strict JSON parsing
-# ---------------------------------------------------------------------------
-
-def _expect_object(obj: Any, path: str, required: Sequence[str],
-                   optional: Sequence[str] = ()) -> Mapping[str, Any]:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}: missing required key")
-    return obj
-
-
-def _real(obj: Any, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {type(obj).__name__}")
-    val = float(obj)
-    if not np.isfinite(val):
-        raise ConfigError(f"{path}: must be finite, got {val}")
-    return val
-
-
-def _integer(obj: Any, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigError(f"{path}: expected an integer, got {type(obj).__name__}")
-    return obj
-
-
-def _string(obj: Any, path: str, choices: Optional[Sequence[str]] = None) -> str:
-    if not isinstance(obj, str):
-        raise ConfigError(f"{path}: expected a string, got {type(obj).__name__}")
-    if choices is not None and obj not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {obj!r}")
-    return obj
-
-
-def _real_list(obj: Any, path: str) -> tuple[float, ...]:
-    if not isinstance(obj, list):
-        raise ConfigError(f"{path}: expected a list, got {type(obj).__name__}")
-    return tuple(_real(item, f"{path}[{i}]") for i, item in enumerate(obj))
+    """Malformed config; the message names the offending field."""
 
 
 # ---------------------------------------------------------------------------
 # configuration types
 # ---------------------------------------------------------------------------
+#
+# Every __post_init__ check of a config dataclass (these three, Grid,
+# SolitonParams, MultiSolitonConfig and IntegratorConfig) raises a ValueError
+# whose message starts with the offending field's path relative to that
+# dataclass ("amplitude: ...", "diagnostics.gammas[0]: ..."); read_config
+# prefixes the path of the dataclass itself.
 
 PERTURBATION_KINDS = ("none", "random_smooth", "chi_direction", "between_bump")
 
@@ -130,17 +90,17 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.kind not in PERTURBATION_KINDS:
             raise ConfigError(
-                f"perturbation.kind: expected one of {list(PERTURBATION_KINDS)}, got {self.kind!r}")
+                f"kind: expected one of {list(PERTURBATION_KINDS)}, got {self.kind!r}")
         if self.amplitude < 0.0 or not np.isfinite(self.amplitude):
-            raise ConfigError(f"perturbation.amplitude: must be >= 0, got {self.amplitude}")
+            raise ConfigError(f"amplitude: must be >= 0, got {self.amplitude}")
         if self.kind == "none" and self.amplitude != 0.0:
-            raise ConfigError("perturbation.amplitude: must be 0 for kind 'none'")
+            raise ConfigError("amplitude: must be 0 for kind 'none'")
         if self.kind != "none" and self.amplitude == 0.0:
-            raise ConfigError(f"perturbation.amplitude: must be > 0 for kind {self.kind!r}")
+            raise ConfigError(f"amplitude: must be > 0 for kind {self.kind!r}")
         if self.index < 0:
-            raise ConfigError(f"perturbation.index: must be >= 0, got {self.index}")
+            raise ConfigError(f"index: must be >= 0, got {self.index}")
         if self.width <= 0.0 or not np.isfinite(self.width):
-            raise ConfigError(f"perturbation.width: must be > 0, got {self.width}")
+            raise ConfigError(f"width: must be > 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -155,15 +115,14 @@ class DiagnosticsConfig:
 
     def __post_init__(self) -> None:
         if self.window_half_width <= 0.0:
-            raise ConfigError(
-                f"diagnostics.window_half_width: must be > 0, got {self.window_half_width}")
+            raise ConfigError(f"window_half_width: must be > 0, got {self.window_half_width}")
         if self.b_path not in ("midpoints", "fixed_speed"):
             raise ConfigError(
-                f"diagnostics.b_path: expected 'midpoints' or 'fixed_speed', got {self.b_path!r}")
+                f"b_path: expected 'midpoints' or 'fixed_speed', got {self.b_path!r}")
         if self.b_path == "fixed_speed" and not self.gammas:
-            raise ConfigError("diagnostics.gammas: required when b_path is 'fixed_speed'")
+            raise ConfigError("gammas: required when b_path is 'fixed_speed'")
         if self.b_path == "midpoints" and self.gammas:
-            raise ConfigError("diagnostics.gammas: only valid when b_path is 'fixed_speed'")
+            raise ConfigError("gammas: only valid when b_path is 'fixed_speed'")
 
 
 @dataclass(frozen=True)
@@ -187,6 +146,10 @@ class ScenarioConfig:
                 f"perturbation.index: {self.perturbation.index} out of range for {nsol} solitons")
         if self.perturbation.kind == "between_bump" and nsol < 2:
             raise ConfigError("perturbation.kind: between_bump needs at least two solitons")
+        try:
+            self.integrator.n_steps(self.grid)
+        except ValueError as exc:
+            raise ConfigError(f"integrator.{exc}") from exc
         gam = self.diagnostics.gammas
         if gam:
             speeds = self.solitons.speeds
@@ -201,126 +164,92 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         """Echo of the config in the JSON schema (used in report.json)."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "frame": self.frame,
-            "solitons": {
-                "params": [{"c": p.c, "a": p.a, "s": p.s} for p in self.solitons.params],
-                "min_separation": self.solitons.min_separation,
-            },
-            "perturbation": {"kind": self.perturbation.kind,
-                             "amplitude": self.perturbation.amplitude,
-                             "seed": self.perturbation.seed,
-                             "index": self.perturbation.index,
-                             "width": self.perturbation.width},
-            "grid": {"n": self.grid.n, "dx": self.grid.dx, "x_min": self.grid.x_min},
-            "integrator": {"dt": self.integrator.dt, "t_end": self.integrator.t_end,
-                           "sample_stride": self.integrator.sample_stride},
-            "diagnostics": {"y0_list": list(self.diagnostics.y0_list),
-                            "window_half_width": self.diagnostics.window_half_width,
-                            "b_path": self.diagnostics.b_path},
-        }
-        if self.diagnostics.gammas:
-            out["diagnostics"]["gammas"] = list(self.diagnostics.gammas)
-        return out
+        return asdict(self)
 
 
-def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
-    top = _expect_object(data, path, required=(
-        "name", "frame", "solitons", "perturbation", "grid", "integrator", "diagnostics"))
+# ---------------------------------------------------------------------------
+# strict JSON reading
+# ---------------------------------------------------------------------------
 
-    name = _string(top["name"], f"{path}.name")
-    frame = _string(top["frame"], f"{path}.frame", choices=("spin", "hydro"))
+# JSON types accepted for each scalar field annotation (bool never counts)
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
 
-    sol = _expect_object(top["solitons"], f"{path}.solitons",
-                         required=("params", "min_separation"))
-    raw_params = sol["params"]
-    if not isinstance(raw_params, list) or not raw_params:
-        raise ConfigError(f"{path}.solitons.params: expected a non-empty list")
-    params = []
-    for i, item in enumerate(raw_params):
-        ppath = f"{path}.solitons.params[{i}]"
-        entry = _expect_object(item, ppath, required=("c", "a"), optional=("s",))
-        sign = _integer(entry["s"], f"{ppath}.s") if "s" in entry else 1
-        try:
-            params.append(SolitonParams(_real(entry["c"], f"{ppath}.c"),
-                                        _real(entry["a"], f"{ppath}.a"), sign))
-        except ValueError as exc:
-            raise ConfigError(f"{ppath}: {exc}") from exc
+
+def _read_value(annotation: Any, value: Any, path: str) -> Any:
+    if is_dataclass(annotation):
+        return read_config(annotation, value, path)
+    if get_origin(annotation) is tuple:
+        # a JSON array; a tuple as well, so a to_dict echo reads back
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        item = get_args(annotation)[0]
+        return tuple(_read_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    accepted, noun = _SCALARS[annotation]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {noun}, got {type(value).__name__}")
+    if annotation is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {value}")
+    return annotation(value)
+
+
+def read_config(cls: type, data: Any, path: str = "config") -> Any:
+    """Build the config dataclass ``cls`` from parsed JSON, strictly.
+
+    The dataclass is the schema: its fields are the keys, a field without a
+    default is required, and the field's annotation (float, int, str, a
+    config dataclass, or a tuple of one of these) is the type its value must
+    have.  Ranges and cross-field rules are the dataclass's own checks.
+    Every error names the dotted ``path`` of the offending field.  The one
+    default not stated on a dataclass: a grid without ``x_min`` is centered
+    on the origin (:meth:`Grid.centered`).
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
+    schema = fields(cls)
+    names = {f.name for f in schema}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    for f in schema:
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: missing required key")
+    hints = get_type_hints(cls)
+    kwargs = {f.name: _read_value(hints[f.name], data[f.name], f"{path}.{f.name}")
+              for f in schema if f.name in data}
+    build = Grid.centered if cls is Grid and "x_min" not in kwargs else cls
     try:
-        solitons = MultiSolitonConfig(tuple(params),
-                                      _real(sol["min_separation"],
-                                            f"{path}.solitons.min_separation"))
+        return build(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}.solitons: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc
 
-    pert_obj = _expect_object(top["perturbation"], f"{path}.perturbation",
-                              required=("kind",),
-                              optional=("amplitude", "seed", "index", "width"))
-    perturbation = Perturbation(
-        kind=_string(pert_obj["kind"], f"{path}.perturbation.kind"),
-        amplitude=_real(pert_obj.get("amplitude", 0.0), f"{path}.perturbation.amplitude"),
-        seed=_integer(pert_obj.get("seed", 0), f"{path}.perturbation.seed"),
-        index=_integer(pert_obj.get("index", 0), f"{path}.perturbation.index"),
-        width=_real(pert_obj.get("width", 5.0), f"{path}.perturbation.width"))
 
-    grid_obj = _expect_object(top["grid"], f"{path}.grid",
-                              required=("n", "dx"), optional=("x_min",))
-    n = _integer(grid_obj["n"], f"{path}.grid.n")
-    dx = _real(grid_obj["dx"], f"{path}.grid.dx")
-    if "x_min" in grid_obj:
-        x_min = _real(grid_obj["x_min"], f"{path}.grid.x_min")
-    else:
-        x_min = -0.5 * n * dx
+def _parse_json(text: str, path: str) -> Any:
     try:
-        grid = Grid(n=n, dx=dx, x_min=x_min)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.grid: {exc}") from exc
-
-    int_obj = _expect_object(top["integrator"], f"{path}.integrator",
-                             required=("dt", "t_end"),
-                             optional=("sample_stride", "cfl_factor"))
-    kwargs: dict[str, Any] = {"dt": _real(int_obj["dt"], f"{path}.integrator.dt"),
-                              "t_end": _real(int_obj["t_end"], f"{path}.integrator.t_end")}
-    if "sample_stride" in int_obj:
-        kwargs["sample_stride"] = _integer(int_obj["sample_stride"],
-                                           f"{path}.integrator.sample_stride")
-    if "cfl_factor" in int_obj:
-        kwargs["cfl_factor"] = _real(int_obj["cfl_factor"], f"{path}.integrator.cfl_factor")
-    try:
-        integrator = IntegratorConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.integrator: {exc}") from exc
-
-    diag_obj = _expect_object(top["diagnostics"], f"{path}.diagnostics",
-                              required=("y0_list", "window_half_width"),
-                              optional=("b_path", "gammas"))
-    diagnostics = DiagnosticsConfig(
-        y0_list=_real_list(diag_obj["y0_list"], f"{path}.diagnostics.y0_list"),
-        window_half_width=_real(diag_obj["window_half_width"],
-                                f"{path}.diagnostics.window_half_width"),
-        b_path=_string(diag_obj.get("b_path", "midpoints"), f"{path}.diagnostics.b_path"),
-        gammas=_real_list(diag_obj.get("gammas", []), f"{path}.diagnostics.gammas"))
-
-    return ScenarioConfig(name=name, frame=frame, solitons=solitons,
-                          perturbation=perturbation, grid=grid,
-                          integrator=integrator, diagnostics=diagnostics)
-
-
-def scenario_from_json(text: str, path: str = "config") -> ScenarioConfig:
-    try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
-    return scenario_from_dict(data, path)
 
 
-def load_scenario(file_path) -> ScenarioConfig:
+def load_config(cls: type, file_path) -> Any:
+    """Read the config dataclass ``cls`` from a JSON file: a scenario, or
+    the ``solitons`` section (a :class:`MultiSolitonConfig`) as a guess."""
     p = Path(file_path)
     if not p.is_file():
         raise ConfigError(f"{p}: no such config file")
-    return scenario_from_json(p.read_text(), path=str(p))
+    return read_config(cls, _parse_json(p.read_text(), str(p)), str(p))
+
+
+def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
+    return read_config(ScenarioConfig, data, path)
+
+
+def scenario_from_json(text: str, path: str = "config") -> ScenarioConfig:
+    return read_config(ScenarioConfig, _parse_json(text, path), path)
+
+
+def load_scenario(file_path) -> ScenarioConfig:
+    return load_config(ScenarioConfig, file_path)
 
 
 # ---------------------------------------------------------------------------
@@ -462,43 +391,30 @@ def _hydro_view(traj: Trajectory) -> Trajectory:
                       states=states, error=traj.error)
 
 
-def _path_table(cfg: ScenarioConfig, track: ModulationTrack) -> dict[str, np.ndarray]:
-    """Per-snapshot center positions for every monitored path label.
+def _paths(cfg: ScenarioConfig, track: ModulationTrack
+           ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per-snapshot positions and rates of every monitored path label.
 
     Labels a1..aN follow the tracked soliton centers; b1..b(N-1) sit between
     consecutive solitons, either live midpoints or fixed-speed rays.
     """
     paths: dict[str, np.ndarray] = {}
-    nsol = track.n_solitons
-    for j in range(nsol):
-        paths[f"a{j + 1}"] = track.centers[:, j].copy()
-    if nsol >= 2:
-        if cfg.diagnostics.b_path == "midpoints":
-            for j in range(nsol - 1):
-                paths[f"b{j + 1}"] = 0.5 * (track.centers[:, j] + track.centers[:, j + 1])
-        else:
-            t = track.times
-            for j, gam in enumerate(cfg.diagnostics.gammas):
-                b0 = 0.5 * (track.centers[0, j] + track.centers[0, j + 1])
-                paths[f"b{j + 1}"] = b0 + gam * (t - t[0])
-    return paths
-
-
-def _path_rates(cfg: ScenarioConfig, track: ModulationTrack,
-                paths: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     rates: dict[str, np.ndarray] = {}
     nsol = track.n_solitons
     for j in range(nsol):
+        paths[f"a{j + 1}"] = track.centers[:, j].copy()
         rates[f"a{j + 1}"] = track.center_rates[:, j]
-    if nsol >= 2:
-        if cfg.diagnostics.b_path == "midpoints":
-            for j in range(nsol - 1):
-                rates[f"b{j + 1}"] = 0.5 * (track.center_rates[:, j]
-                                            + track.center_rates[:, j + 1])
-        else:
-            for j, gam in enumerate(cfg.diagnostics.gammas):
-                rates[f"b{j + 1}"] = np.full(len(track.times), gam)
-    return rates
+    if cfg.diagnostics.b_path == "midpoints":
+        for j in range(nsol - 1):
+            paths[f"b{j + 1}"] = 0.5 * (track.centers[:, j] + track.centers[:, j + 1])
+            rates[f"b{j + 1}"] = 0.5 * (track.center_rates[:, j] + track.center_rates[:, j + 1])
+    else:
+        t = track.times
+        for j, gam in enumerate(cfg.diagnostics.gammas):
+            b0 = 0.5 * (track.centers[0, j] + track.centers[0, j + 1])
+            paths[f"b{j + 1}"] = b0 + gam * (t - t[0])
+            rates[f"b{j + 1}"] = np.full(len(t), gam)
+    return paths, rates
 
 
 def _collect_samples(cfg: ScenarioConfig, hydro_traj: Trajectory,
@@ -683,10 +599,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     samples: tuple = ()
     rate_fd_err: Optional[float] = None
     if track is not None:
-        paths = _path_table(cfg, track)
+        paths, rates = _paths(cfg, track)
         samples = _collect_samples(cfg, hydro_traj, paths)
         if cfg.diagnostics.y0_list and len(track.times) >= 2:
-            rates = _path_rates(cfg, track, paths)
             rate_fd_err = _rate_fd_check(cfg, traj, hydro_traj, track, paths, rates)
     timings["diagnostics"] = time.perf_counter() - t0
 

@@ -179,11 +179,12 @@ class SolitonParams:
     s: int = 1
 
     def __post_init__(self) -> None:
-        _check_speed(self.c)
+        if not 0.0 < abs(self.c) < 1.0:
+            raise ValueError(f"c: must satisfy 0 < |c| < 1, got {self.c}")
         if not np.isfinite(self.a):
-            raise ValueError(f"center must be finite, got {self.a}")
+            raise ValueError(f"a: must be finite, got {self.a}")
         if self.s not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.s}")
+            raise ValueError(f"s: must be +1 or -1, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -202,17 +203,18 @@ class MultiSolitonConfig:
         params = tuple(self.params)
         object.__setattr__(self, "params", params)
         if len(params) < 1:
-            raise ValueError("need at least one soliton")
+            raise ValueError("params: need at least one soliton")
         if self.min_separation <= 0.0:
-            raise ValueError(f"min_separation must be positive, got {self.min_separation}")
+            raise ValueError(f"min_separation: must be positive, got {self.min_separation}")
         cs = [p.c for p in params]
         if any(c2 <= c1 for c1, c2 in zip(cs, cs[1:])):
-            raise ValueError(f"speeds must be strictly increasing, got {cs}")
+            raise ValueError(f"params: speeds must be strictly increasing, got {cs}")
         avals = [p.a for p in params]
         for a1, a2 in zip(avals, avals[1:]):
             if a2 - a1 < self.min_separation:
                 raise ValueError(
-                    f"centers {a1} and {a2} closer than min_separation {self.min_separation}")
+                    f"params: centers {a1} and {a2} closer than "
+                    f"min_separation {self.min_separation}")
 
     @property
     def n_solitons(self) -> int:

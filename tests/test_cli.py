@@ -113,6 +113,20 @@ class TestSimulate:
         assert payload["error"]
         assert set(payload) == REPORT_KEYS
 
+    @pytest.mark.parametrize("integrator", [
+        {"dt": 0.005, "t_end": 1.0, "sample_stride": 250},    # over cfl_factor * dx^2
+        {"dt": 0.001, "t_end": 1.0005, "sample_stride": 250},  # dt does not divide t_end
+    ])
+    def test_bad_dt_exit_two_nothing_written(self, tmp_path, capsys, integrator):
+        data = copy.deepcopy(TINY)
+        data["name"] = "bad-dt"
+        data["integrator"] = integrator
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 2
+        assert "integrator.dt" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_runs_every_config(self, tmp_path):
         a = copy.deepcopy(TINY)
         a["name"] = "first"
@@ -288,6 +302,24 @@ class TestModulateTrack:
         assert main(["modulate-track", str(traj), str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("guess,field", [
+        ({"params": [{"c": "0.5", "a": 0, "junk": 1}], "min_separation": 10.0}, "params[0].junk"),
+        ({"params": [{"c": 0.5, "a": 0.0, "s": -1.7}], "min_separation": 10.0}, "params[0].s"),
+        ({"params": [{"c": 0.5, "a": 0.0, "s": True}], "min_separation": 10.0}, "params[0].s"),
+        ({"params": [{"c": 0.5, "a": 0.0}], "min_separation": "10"}, "min_separation"),
+        ({"params": {"c": 0.5, "a": 0.0}, "min_separation": 10.0}, "params"),
+    ])
+    def test_guess_read_strictly(self, tmp_path, capsys, guess, field):
+        """The guess file is the solitons section of a scenario config and is
+        read as strictly: a wrong type or an unknown key is named."""
+        traj = self._trajectory_file(tmp_path)
+        path = tmp_path / "guess.json"
+        path.write_text(json.dumps(guess))
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(traj), str(path), "--out", str(out)]) == 2
+        assert f"guess.json.{field}:" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestMonotonicityAudit:
     def test_filtered_verdicts(self, tmp_path, capsys):

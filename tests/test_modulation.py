@@ -41,9 +41,9 @@ def pair_dot(a, b, grid):
     return integrate(a[0].values * b[0].values + a[1].values * b[1].values, grid)
 
 
-def conditions(p, state, grid, signs, cache, speed_margin=1e-3):
+def conditions(p, state, grid, signs, cache):
     """(F, J, eps) at p: the residual pass, then the Jacobian pass."""
-    f, eps, point = _residual(p, state, grid, signs, cache, speed_margin)
+    f, eps, point = _residual(p, state, grid, signs, cache)
     return f, _jacobian(point, eps, grid, signs), eps
 
 
@@ -308,6 +308,17 @@ class TestModulate:
         assert (result.backtracks > 0) == halved
         assert len(jacobians) == result.newton_iters
 
+    def test_inadmissible_trials_are_backtracks_not_evaluations(self):
+        """From a guess 0.5 inside the pair, some line-search trial points
+        leave the admissible speeds: each counts as a backtrack but not as
+        an evaluation, so newton_iters + 1 + backtracks only bounds
+        condition_evals."""
+        guess = MultiSolitonConfig((SolitonParams(-0.5, -14.5),
+                                    SolitonParams(0.5, 14.5)), min_separation=29.0)
+        result = modulate(multi_soliton_sum(self.cfg, self.grid), guess)
+        assert result.backtracks > 0
+        assert result.condition_evals < result.newton_iters + 1 + result.backtracks
+
     def test_speed_out_of_range_reason(self):
         state = multi_soliton_sum(self.cfg, self.grid)
         racy = MultiSolitonConfig((SolitonParams(-0.5, -15.0),
@@ -370,7 +381,7 @@ class TestConditionsJacobian:
         cache = ChiCache(self.grid)
 
         def residual(p):
-            return _residual(p, perturbed, self.grid, signs, cache, 1e-3)[0]
+            return _residual(p, perturbed, self.grid, signs, cache)[0]
 
         _, jac, _ = conditions(p0, perturbed, self.grid, signs, cache)
         h = 1e-5

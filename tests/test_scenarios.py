@@ -1,16 +1,22 @@
 """Scenario configs, perturbation construction, and the run pipeline."""
 
 import copy
+import importlib.util
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ll_lab import (ConfigError, Grid, HydroState, integrate, load_scenario,
-                    run_scenario, scenario_from_dict, scenario_from_json,
-                    write_report, x_norm)
-from ll_lab.scenarios import (Perturbation, _monotonicity_defect, build_initial,
-                              random_smooth_pair)
+from ll_lab import (ConfigError, Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
+                    SolitonParams, integrate, load_scenario, run_scenario,
+                    scenario_from_dict, scenario_from_json, write_report, x_norm)
+from ll_lab.scenarios import (DiagnosticsConfig, Perturbation, ScenarioConfig,
+                              _monotonicity_defect, build_initial, random_smooth_pair,
+                              read_config)
+
+import config_oracle
 
 BASE = {
     "name": "tiny",
@@ -37,6 +43,41 @@ def variant(**updates):
     return data
 
 
+MALFORMED = [
+    ({"name": ...}, "config.name: missing required key"),
+    ({"frame": "lab"}, "config.frame"),
+    ({"bogus": 1}, "config.bogus: unknown key"),
+    ({"solitons__params": []}, "solitons.params"),
+    ({"solitons__params": [{"c": 1.5, "a": 0.0}]}, "params[0]"),
+    ({"solitons__min_separation": -1.0}, "solitons"),
+    ({"perturbation__kind": "sneeze"}, "perturbation.kind"),
+    ({"perturbation__amplitude": 0.1}, "perturbation.amplitude"),
+    ({"grid__n": 511}, "config.grid"),
+    ({"grid__dx": "thin"}, "config.grid.dx: expected a number"),
+    ({"integrator__dt": -0.001}, "config.integrator"),
+    ({"integrator__sample_stride": 2.5}, "sample_stride: expected an integer"),
+    ({"diagnostics__window_half_width": 0.0}, "window_half_width"),
+    ({"diagnostics__b_path": "zigzag"}, "b_path"),
+    ({"diagnostics__gammas": [0.1]}, "gammas"),
+    ({"integrator__scheme": "rk4"}, "integrator.scheme: unknown key"),
+    ({"integrator__dealias": True}, "integrator.dealias: unknown key"),
+    ({"integrator__renormalize_spin": True},
+     "integrator.renormalize_spin: unknown key"),
+    # the same path is named once, not once per enclosing section
+    ({"solitons__params": [{"c": 0.5, "a": "x"}]},
+     "config.solitons.params[0].a: expected a number"),
+    ({"solitons__params": [{"c": 0.5, "a": 0.0, "s": -1.7}]},
+     "config.solitons.params[0].s: expected an integer"),
+    ({"solitons__params": [{"c": 0.5, "a": 0.0, "s": 2}]}, "config.solitons.params[0].s"),
+    ({"solitons__params": {"c": 0.5, "a": 0.0}}, "config.solitons.params: expected a list"),
+    ({"grid": []}, "config.grid: expected an object"),
+    ({"diagnostics__y0_list": [5.0, True]}, "config.diagnostics.y0_list[1]"),
+    # dt is checked against the grid's step bound and against t_end
+    ({"integrator__dt": 0.005}, "config.integrator.dt: 0.005 exceeds the stability limit"),
+    ({"integrator__t_end": 1.0005}, "config.integrator.dt: t_end = 1.0005"),
+]
+
+
 class TestConfigParsing:
     def test_roundtrip_through_to_dict(self):
         cfg = scenario_from_dict(BASE)
@@ -51,27 +92,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 1"):
             scenario_from_json("{bad json]")
 
-    @pytest.mark.parametrize("updates,needle", [
-        ({"name": ...}, "config.name: missing required key"),
-        ({"frame": "lab"}, "config.frame"),
-        ({"bogus": 1}, "config.bogus: unknown key"),
-        ({"solitons__params": []}, "solitons.params"),
-        ({"solitons__params": [{"c": 1.5, "a": 0.0}]}, "params[0]"),
-        ({"solitons__min_separation": -1.0}, "solitons"),
-        ({"perturbation__kind": "sneeze"}, "perturbation.kind"),
-        ({"perturbation__amplitude": 0.1}, "perturbation.amplitude"),
-        ({"grid__n": 511}, "config.grid"),
-        ({"grid__dx": "thin"}, "config.grid.dx: expected a number"),
-        ({"integrator__dt": -0.001}, "config.integrator"),
-        ({"integrator__sample_stride": 2.5}, "sample_stride: expected an integer"),
-        ({"diagnostics__window_half_width": 0.0}, "window_half_width"),
-        ({"diagnostics__b_path": "zigzag"}, "b_path"),
-        ({"diagnostics__gammas": [0.1]}, "gammas"),
-        ({"integrator__scheme": "rk4"}, "integrator.scheme: unknown key"),
-        ({"integrator__dealias": True}, "integrator.dealias: unknown key"),
-        ({"integrator__renormalize_spin": True},
-         "integrator.renormalize_spin: unknown key"),
-    ])
+    @pytest.mark.parametrize("updates,needle", MALFORMED)
     def test_malformed_configs_name_the_field(self, updates, needle):
         with pytest.raises(ConfigError, match=None) as info:
             scenario_from_dict(variant(**updates))
@@ -105,6 +126,84 @@ class TestConfigParsing:
     def test_load_scenario_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
             load_scenario(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("updates,needle", MALFORMED)
+    def test_errors_name_the_path_once(self, updates, needle):
+        with pytest.raises(ConfigError) as info:
+            scenario_from_dict(variant(**updates))
+        message = str(info.value)
+        assert message.startswith("config.") and message.count("config.") == 1, message
+
+
+PAIR = {"params": [{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}], "min_separation": 30.0}
+
+# every config the tests of this module accept
+ACCEPTED = [
+    BASE,
+    variant(perturbation__kind="random_smooth", perturbation__amplitude=0.01),
+    variant(perturbation__kind="random_smooth", perturbation__amplitude=0.02,
+            perturbation__seed=9),
+    variant(perturbation__kind="chi_direction", perturbation__amplitude=0.01),
+    variant(frame="spin"),
+    variant(name="doomed", solitons__params=[{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
+            solitons__min_separation=20.0, integrator__dt=0.0025, integrator__t_end=2.0,
+            integrator__sample_stride=5, integrator__cfl_factor=0.25),
+    variant(solitons=PAIR, diagnostics__b_path="fixed_speed", diagnostics__gammas=[0.0]),
+    variant(solitons=PAIR, perturbation__kind="between_bump", perturbation__amplitude=0.05),
+    variant(solitons__params=[{"c": -0.3, "a": -15.0}, {"c": 0.3, "a": 15.0}],
+            solitons__min_separation=30.0, perturbation__kind="between_bump",
+            perturbation__amplitude=1.2),
+]
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestReaderMatchesOracle:
+    """The dataclass-driven reader against the hand-chained one it replaced."""
+
+    def configs_in_use(self):
+        shipped = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+        assert len(shipped) == 3
+        bench = _perfbench_workloads()
+        return ([json.loads(p.read_text()) for p in shipped] + ACCEPTED + [bench.TRACK_CHI]
+                + [cfg for seed in (0, 1, 2 ** 31 + 5) for cfg in bench.simulate_configs(seed)])
+
+    def test_configs_in_use_build_equal_dataclasses(self):
+        for data in self.configs_in_use():
+            assert scenario_from_dict(data) == config_oracle.scenario_from_dict(data), data["name"]
+
+    def test_bench_guesses_read_as_before(self):
+        bench = _perfbench_workloads()
+        for seed in (0, 1, 2, 3):
+            guess = bench.track_guess(seed)
+            params = tuple(SolitonParams(float(e["c"]), float(e["a"]), int(e.get("s", 1)))
+                           for e in guess["params"])
+            expected = MultiSolitonConfig(params, float(guess["min_separation"]))
+            assert read_config(MultiSolitonConfig, guess) == expected
+
+    @pytest.mark.parametrize("updates,needle", MALFORMED)
+    def test_oracle_rejects_the_same(self, updates, needle):
+        with pytest.raises(ConfigError):
+            config_oracle.scenario_from_dict(variant(**updates))
+
+
+CONFIG_DATACLASSES = (ScenarioConfig, MultiSolitonConfig, SolitonParams, Perturbation,
+                      Grid, IntegratorConfig, DiagnosticsConfig)
+
+
+def test_schema_doc_names_every_field():
+    """demos/config-schema.md names every field of every config dataclass,
+    as a `code` span or, for a top-level key, as its own section heading."""
+    doc = (Path(__file__).resolve().parents[1] / "demos" / "config-schema.md").read_text()
+    missing = [f"{cls.__name__}.{f.name}" for cls in CONFIG_DATACLASSES for f in fields(cls)
+               if f"`{f.name}`" not in doc and f"\n## {f.name}\n" not in doc]
+    assert not missing, missing
 
 
 class TestRandomSmoothPair:
@@ -209,6 +308,14 @@ class TestRunScenario:
         assert "rate_fd_match" in names
         assert "eps_sup" not in names  # unperturbed: no amplitude to compare to
         assert report.all_passed, [(v.name, v.measured) for v in report.verdicts]
+
+    def test_zero_length_run(self):
+        """t_end = 0 tracks one snapshot, which has samples but no rates."""
+        report = run_scenario(scenario_from_dict(variant(integrator__t_end=0.0)))
+        assert report.error is None
+        assert len(report.samples) == 1
+        assert {v.name for v in report.verdicts} == {"energy_drift", "momentum_drift",
+                                                     "monotonicity_y5"}
 
     def test_reports_are_deterministic(self):
         data = variant(perturbation__kind="random_smooth",
