@@ -15,27 +15,31 @@ L(v, w) = (-v + v'', -w) is the linearization around vacuum, and B collects
 the remaining superlinear terms.  ``rhs_hll`` is computed from the flux form
 independently; agreement with the factored form is a grid-exact identity.
 
-Integration is classical RK4 on the spectral right-hand side with the
-stability restriction dt <= 0.2*dx^2 (the imaginary-axis stability span of
-RK4 against the k^2 dispersion at the grid cutoff).  Spin-frame steps end by
-renormalizing m to unit length pointwise.
+Integration is classical RK4 through one stepper per frame, built by
+``_stepper`` and driven by both ``evolve`` and ``step_rk4``.  The hydro
+stepper carries the rfft spectrum (v^, w^) and a (4, n//2 + 1) work buffer;
+the spin stepper carries the (n, 3) field m in its phase sector and
+renormalizes it to unit length pointwise after every step.
 
-The hydrodynamic state that RK4 carries is its rfft spectrum (v^, w^).  A
-right-hand side makes 2 ``numpy.fft`` calls and 6 real transforms: one
-4-row irfft of (v^, w^, i*k*v^, -k^2*v^) gives v, w, v' and v'', and one
-2-row rfft of the two fluxes, multiplied by i*k, is the spectrum of the
-right-hand side.  An RK4 step makes 8 calls, and ``evolve`` adds one rfft of
-the initial state and one 2-row irfft per stored snapshot.  Since i*k is
-zero at the DC and Nyquist bins, the flux form leaves those bins of v^ and
-w^ exactly as they started, and with them the integrals of v and w.  The
-physical ``rhs_hll`` (4 calls, 7 real transforms) shares the flux
-arithmetic; nothing steps in physical space.  The stage sums run in place
-with the operand order of the textbook formula.  The transforms stay on
-``numpy.fft``: importing ``scipy.fft`` at module level raised
-``python -c "import ll_lab.cli"`` from 0.22 s to 0.51 s (medians of 10
-alternating launches on a 2-core x86-64 host), and its transforms are only
-about 10% faster per call.  They are looked up as ``np.fft.<name>`` at call
-time, so a tracer that rebinds them sees every call.
+``IntegratorConfig`` accepts dt <= cfl_factor*dx^2 (0.2 by default), but
+that is not RK4's stability limit near a soliton: the largest stable hydro
+step was measured at (2*sqrt(2)/pi^2)*dx^2*min(1 - v^2)^(1/4), within 2%,
+so 0.2*dx^2 is unstable for |c| below about 0.49.
+
+In the hydrodynamic frame a right-hand side makes 2 ``numpy.fft`` calls
+and 6 real transforms: one 4-row irfft of (v^, w^, i*k*v^, -k^2*v^) gives
+v, w, v' and v'', and one 2-row rfft of the two fluxes, times i*k, is the
+spectrum of the right-hand side.  An RK4 step makes 8 calls, and
+``evolve`` adds one rfft of the initial state and one 2-row irfft per
+stored snapshot.  Since i*k is zero at the DC and Nyquist bins, those bins
+of v^ and w^, and with them the integrals of v and w, stay exactly as they
+started.  The physical ``rhs_hll`` (4 calls, 7 real transforms) shares the
+flux arithmetic.  The stage sums run in place with the operand order of
+the textbook formula.  The transforms stay on ``numpy.fft`` (importing
+``scipy.fft`` raised ``python -c "import ll_lab.cli"`` from 0.22 s to
+0.51 s on a 2-core x86-64 host, for transforms only about 10% faster) and
+are looked up as ``np.fft.<name>`` at call time, so a tracer that rebinds
+them sees every call.
 """
 
 from __future__ import annotations
@@ -242,45 +246,70 @@ def _rk4_sum(y, rhs, dt):
     return k1
 
 
-def _rk4_hydro(yhat: np.ndarray, grid: Grid, dt: float, buf: np.ndarray) -> np.ndarray:
-    """One RK4 step of the spectral state yhat = (v^, w^); returns a new array."""
-    return _rk4_sum(yhat, lambda s: _spectral_rhs(s, grid, buf), dt)
+class _Stepper:
+    """RK4 in one frame on the working array ``y``, stepped by the subclass's
+    ``_rk4``; ``advance`` names non-finite values a :class:`BlowupError`."""
+
+    steps = 0
+
+    def advance(self, dt: float) -> None:
+        y = self._rk4(dt)
+        self.steps += 1
+        if not np.all(np.isfinite(y)):
+            raise BlowupError(f"non-finite {self._values} values at step {self.steps}")
+        self.y = y
 
 
-def _hydro_buffer(grid: Grid) -> np.ndarray:
-    return np.empty((4, grid.n // 2 + 1), dtype=complex)
+class _HydroStepper(_Stepper):
+    frame, _values = "hydro", "hydrodynamic"
+
+    def __init__(self, state: HydroState) -> None:
+        self.grid = state.grid
+        self.y = np.fft.rfft((state.v.values, state.w.values))
+        self._buf = np.empty((4, self.grid.n // 2 + 1), dtype=complex)
+
+    def _rk4(self, dt: float) -> np.ndarray:
+        return _rk4_sum(self.y, lambda s: _spectral_rhs(s, self.grid, self._buf), dt)
+
+    def snapshot(self) -> HydroState:
+        """max|v| >= 1 is a :class:`VacuumBreakdown`, not a malformed state."""
+        v, w = np.fft.irfft(self.y, n=self.grid.n)
+        vmax = float(np.max(np.abs(v)))
+        if vmax >= 1.0:
+            raise VacuumBreakdown(f"max|v| = {vmax:.6g} >= 1 at a stored snapshot")
+        return HydroState.from_arrays(self.grid, v, w)
 
 
-def _hydro_spectrum(state: HydroState) -> np.ndarray:
-    return np.fft.rfft((state.v.values, state.w.values))
+class _SpinStepper(_Stepper):
+    frame, _values = "spin", "spin"
+
+    def __init__(self, state: SpinState) -> None:
+        self.grid = state.grid
+        self.y = state.m
+        self.sector = state.phase_sector
+
+    def _rk4(self, dt: float) -> np.ndarray:
+        m = _rk4_sum(self.y, lambda s: _spin_rhs_arrays(s, self.grid, self.sector), dt)
+        m /= np.sqrt(np.sum(m * m, axis=1))[:, None]
+        return m
+
+    def snapshot(self) -> SpinState:
+        return SpinState(self.grid, self.y, self.sector)
 
 
-def _hydro_snapshot(grid: Grid, yhat: np.ndarray) -> HydroState:
-    """The physical state of yhat; a state with max|v| >= 1 is a
-    :class:`VacuumBreakdown`, not a malformed ``HydroState``."""
-    v, w = np.fft.irfft(yhat, n=grid.n)
-    vmax = float(np.max(np.abs(v)))
-    if vmax >= 1.0:
-        raise VacuumBreakdown(f"max|v| = {vmax:.6g} >= 1 at a stored snapshot")
-    return HydroState.from_arrays(grid, v, w)
-
-
-def _rk4_spin(m, grid, sector, dt):
-    out = _rk4_sum(m, lambda s: _spin_rhs_arrays(s, grid, sector), dt)
-    out /= np.sqrt(np.sum(out * out, axis=1))[:, None]
-    return out
+def _stepper(state: State) -> _Stepper:
+    if isinstance(state, HydroState):
+        return _HydroStepper(state)
+    if isinstance(state, SpinState):
+        return _SpinStepper(state)
+    raise TypeError(f"cannot step object of type {type(state).__name__}")
 
 
 def step_rk4(state: State, dt: float) -> State:
     """One classical RK4 step of the appropriate flow."""
-    if isinstance(state, HydroState):
-        grid = state.grid
-        yhat = _rk4_hydro(_hydro_spectrum(state), grid, dt, _hydro_buffer(grid))
-        return _hydro_snapshot(grid, yhat)
-    if isinstance(state, SpinState):
-        m = _rk4_spin(state.m, state.grid, state.phase_sector, dt)
-        return SpinState(state.grid, m, state.phase_sector)
-    raise TypeError(f"cannot step object of type {type(state).__name__}")
+    stepper = _stepper(state)
+    stepper.advance(dt)
+    return stepper.snapshot()
 
 
 @dataclass(eq=False)
@@ -324,50 +353,31 @@ def evolve(state: State, config: IntegratorConfig,
     values end the run early with ``Trajectory.error`` set, keeping the
     snapshots collected so far.
     """
-    is_spin = isinstance(state, SpinState)
-    if not is_spin and not isinstance(state, HydroState):
-        raise TypeError(f"cannot evolve object of type {type(state).__name__}")
-    grid = state.grid
-    nsteps = config.n_steps(grid)
+    stepper = _stepper(state)
+    nsteps = config.n_steps(state.grid)
 
     times = [0.0]
     snapshots = [state]
     for hook in hooks:
         hook(0.0, state)
     error = None
-
-    if is_spin:
-        m = np.array(state.m, dtype=float)
-        sector = state.phase_sector
-    else:
-        yhat = _hydro_spectrum(state)
-        buf = _hydro_buffer(grid)
-
     for step in range(1, nsteps + 1):
-        stored = step % config.sample_stride == 0 or step == nsteps
         try:
-            if is_spin:
-                m = _rk4_spin(m, grid, sector, config.dt)
-                if not np.all(np.isfinite(m)):
-                    raise BlowupError(f"non-finite spin values at step {step}")
-                snap = SpinState(grid, m, sector) if stored else None
-            else:
-                yhat = _rk4_hydro(yhat, grid, config.dt, buf)
-                if not np.all(np.isfinite(yhat)):
-                    raise BlowupError(f"non-finite hydrodynamic values at step {step}")
-                snap = _hydro_snapshot(grid, yhat) if stored else None
+            stepper.advance(config.dt)
+            if step % config.sample_stride and step != nsteps:
+                continue
+            snap = stepper.snapshot()
         except (VacuumBreakdown, BlowupError) as exc:
             error = f"{type(exc).__name__} at t = {step * config.dt:.6g}: {exc}"
             break
-        if stored:
-            t = step * config.dt
-            times.append(t)
-            snapshots.append(snap)
-            for hook in hooks:
-                hook(t, snap)
+        t = step * config.dt
+        times.append(t)
+        snapshots.append(snap)
+        for hook in hooks:
+            hook(t, snap)
 
-    return Trajectory(frame="spin" if is_spin else "hydro", grid=grid,
-                      times=np.array(times), states=tuple(snapshots), error=error)
+    return Trajectory(frame=stepper.frame, grid=state.grid, times=np.array(times),
+                      states=tuple(snapshots), error=error)
 
 
 # ---------------------------------------------------------------------------

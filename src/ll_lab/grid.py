@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -298,14 +297,16 @@ def spin_derivative(s: SpinState, order: int = 1) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
-def _xnorm_density(s: HydroState) -> np.ndarray:
-    dv = deriv_array(s.v.values, s.grid, 1)
-    return s.v.values ** 2 + dv ** 2 + s.w.values ** 2
+def x_norm_arrays(v: np.ndarray, w: np.ndarray, grid: Grid, weight=1.0) -> float:
+    """x_norm of raw arrays (v, w), with no check on max|v|; ``weight``
+    multiplies the density pointwise."""
+    dv = deriv_array(v, grid, 1)
+    return math.sqrt(max(integrate((v ** 2 + dv ** 2 + w ** 2) * weight, grid), 0.0))
 
 
 def x_norm(s: HydroState) -> float:
     """The energy-space norm ( int v^2 + (dx v)^2 + w^2 )^(1/2)."""
-    return math.sqrt(max(integrate(_xnorm_density(s), s.grid), 0.0))
+    return x_norm_arrays(s.v.values, s.w.values, s.grid)
 
 
 def window_norm(s: HydroState, center: float, half_width: float) -> float:
@@ -319,8 +320,4 @@ def window_norm(s: HydroState, center: float, half_width: float) -> float:
         raise ValueError(f"half_width must be positive, got {half_width}")
     offs = s.grid.periodic_offset(s.grid.x, center)
     weight = np.clip((half_width - np.abs(offs)) / s.grid.dx + 0.5, 0.0, 1.0)
-    dens = _xnorm_density(s)
-    return math.sqrt(max(float(np.sum(dens * weight) * s.grid.dx), 0.0))
-
-
-State = Union[HydroState, SpinState]
+    return x_norm_arrays(s.v.values, s.w.values, s.grid, weight)

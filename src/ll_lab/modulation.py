@@ -141,9 +141,6 @@ class HessianOperator:
         return (-flux + drift * dh1 + potential * h1 + coupling * h2,
                 coupling * h1 + om * h2)
 
-    def __call__(self, h: FieldPair) -> FieldPair:
-        return hessian_apply(self, h)
-
 
 def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
     """H_c h as the exact Jacobian of the discrete grad E - c grad P at Q_c.

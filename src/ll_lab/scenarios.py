@@ -38,7 +38,7 @@ from .functionals import (
     momentum,
     virial_U,
 )
-from .grid import Grid, HydroState, SpinState, deriv_array, integrate, window_norm, x_norm
+from .grid import Grid, HydroState, SpinState, integrate, window_norm, x_norm_arrays
 from .modulation import (
     ModulationTrack,
     negative_mode,
@@ -256,11 +256,6 @@ def load_scenario(file_path) -> ScenarioConfig:
 # perturbations
 # ---------------------------------------------------------------------------
 
-def _pair_x_norm(dv: np.ndarray, dw: np.ndarray, grid: Grid) -> float:
-    ddv = deriv_array(dv, grid, 1)
-    return math.sqrt(max(integrate(dv * dv + ddv * ddv + dw * dw, grid), 0.0))
-
-
 def random_smooth_pair(grid: Grid, amplitude: float, seed: int,
                        max_mode: Optional[int] = None,
                        sigma: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +288,7 @@ def random_smooth_pair(grid: Grid, amplitude: float, seed: int,
     dv = draw()
     dw = draw()
     dw = dw - (integrate(dw, grid) / integrate(env, grid)) * env
-    norm = _pair_x_norm(dv, dw, grid)
+    norm = x_norm_arrays(dv, dw, grid)
     if norm == 0.0:
         raise ValueError("degenerate draw: zero perturbation")
     return dv * (amplitude / norm), dw * (amplitude / norm)
@@ -310,10 +305,9 @@ def _perturbation_arrays(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     if pert.kind == "chi_direction":
         par = cfg.solitons.params[pert.index]
         mode = negative_mode(par.c, grid, center=par.a)
-        dv = mode.chi[0].values.copy()
-        dw = mode.chi[1].values.copy()
-        norm = _pair_x_norm(dv, dw, grid)
-        return dv * (pert.amplitude / norm), dw * (pert.amplitude / norm)
+        dv, dw = mode.chi[0].values, mode.chi[1].values
+        scale = pert.amplitude / x_norm_arrays(dv, dw, grid)
+        return dv * scale, dw * scale
     # between_bump: a Gaussian bump in v between the first two solitons
     centers = cfg.solitons.centers
     mid = 0.5 * (centers[0] + centers[1])

@@ -10,7 +10,8 @@ from ll_lab import (BlowupError, Grid, HydroState, IntegratorConfig,
                     MultiSolitonConfig, SolitonParams, Trajectory, apply_B,
                     apply_L, energy_hydro, evolve, load_trajectory,
                     momentum, multi_soliton_sum, reconstruct_spin, rhs_hll,
-                    rhs_spin, save_trajectory, soliton_hydro, step_rk4)
+                    rhs_spin, save_trajectory, soliton_hydro, soliton_spin_state,
+                    step_rk4)
 from ll_lab import dynamics
 from ll_lab.grid import VACUUM_GUARD, VacuumBreakdown
 from ll_lab.scenarios import random_smooth_pair
@@ -190,17 +191,32 @@ class TestFusedPathBits:
         those bins of (v^, w^) exactly as they started: the integrals of v
         and w are conserved to the last bit."""
         state = self._perturbed_pair()
-        grid = state.grid
-        yhat = dynamics._hydro_spectrum(state)
-        vhat, what = yhat
-        edges = yhat[:, [0, -1]].copy()
-        buf = dynamics._hydro_buffer(grid)
+        stepper = dynamics._HydroStepper(state)
+        vhat, what = stepper.y
+        edges = stepper.y[:, [0, -1]].copy()
         for _ in range(200):
-            yhat = dynamics._rk4_hydro(yhat, grid, 1e-3, buf)
+            stepper.advance(1e-3)
+            vhat, what = oracle._rk4_spectral(vhat, what, state.grid, 1e-3)
+            assert np.array_equal(stepper.y[0], vhat)
+            assert np.array_equal(stepper.y[1], what)
+            assert np.array_equal(stepper.y[:, [0, -1]], edges)
+
+    def test_hydro_evolve_snapshots(self):
+        """A stable strided run stores the irfft of the spectral reference's
+        iterates, bit for bit."""
+        state = self._perturbed_pair()
+        grid = state.grid
+        traj = evolve(state, IntegratorConfig(dt=1e-3, t_end=0.05, sample_stride=7))
+        assert traj.error is None
+        vhat, what = np.fft.rfft(state.v.values), np.fft.rfft(state.w.values)
+        snaps = iter(traj.states[1:])
+        for step in range(1, 51):
             vhat, what = oracle._rk4_spectral(vhat, what, grid, 1e-3)
-            assert np.array_equal(yhat[0], vhat)
-            assert np.array_equal(yhat[1], what)
-            assert np.array_equal(yhat[:, [0, -1]], edges)
+            if step % 7 == 0 or step == 50:
+                snap = next(snaps)
+                assert np.array_equal(snap.v.values, np.fft.irfft(vhat, n=grid.n))
+                assert np.array_equal(snap.w.values, np.fft.irfft(what, n=grid.n))
+        assert next(snaps, None) is None
 
     @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
     def test_spin_steps(self, c, sector):
@@ -215,6 +231,27 @@ class TestFusedPathBits:
             m = oracle._rk4_spin(m, grid, sector, 2e-3)
             assert np.array_equal(ahead.m, m)
             spin = ahead
+
+    @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
+    def test_spin_evolve_snapshots(self, c, sector):
+        """A strided spin-frame run stores the reference's iterates, bit for
+        bit, in the sector of its initial state."""
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        params = tuple(SolitonParams(cj, 15.0 * (j - 0.5 * (len(c) - 1)))
+                       for j, cj in enumerate(c))
+        spin = reconstruct_spin(multi_soliton_sum(MultiSolitonConfig(params, 10.0), grid))
+        assert spin.phase_sector == sector
+        traj = evolve(spin, IntegratorConfig(dt=2e-3, t_end=0.1, sample_stride=7))
+        assert traj.error is None
+        m = spin.m
+        snaps = iter(traj.states[1:])
+        for step in range(1, 51):
+            m = oracle._rk4_spin(m, grid, sector, 2e-3)
+            if step % 7 == 0 or step == 50:
+                snap = next(snaps)
+                assert snap.phase_sector == sector
+                assert np.array_equal(snap.m, m)
+        assert next(snaps, None) is None
 
     def test_vacuum_crossing_inside_a_stage(self):
         """The stiff pair of ``test_blowup_recorded_not_raised`` passes the
@@ -299,6 +336,13 @@ class TestEvolveBookkeeping:
         assert "t =" in traj.error
         assert len(traj) >= 1
         assert np.all(np.isfinite(traj.states[-1].v.values))
+
+    def test_nonfinite_step_is_a_blowup(self):
+        """A step that overflows is a BlowupError in step_rk4 as in evolve,
+        not a malformed state."""
+        state = soliton_spin_state(0.5, 0.0, Grid.centered(512, 0.1))
+        with np.errstate(all="ignore"), pytest.raises(BlowupError, match="at step 1$"):
+            step_rk4(state, 1e300)
 
     @pytest.mark.parametrize("stride", [1, 10])
     def test_vacuum_at_a_stored_snapshot_recorded(self, stride):
