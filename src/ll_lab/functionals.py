@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -172,8 +172,14 @@ def _midpoint_offsets(grid: Grid) -> np.ndarray:
     return grid.periodic_offset(grid.x, mid)
 
 
+def seam_norm(state: HydroState) -> float:
+    """The X-norm of the state over the window of half width period/16
+    around the periodic seam x_min, where the sawtooth weight jumps."""
+    return window_norm(state, state.grid.x_min, state.grid.period / 16.0)
+
+
 def _warn_seam_support(state: HydroState) -> None:
-    seam = window_norm(state, state.grid.x_min, state.grid.period / 16.0)
+    seam = seam_norm(state)
     if seam > 1e-8:
         warnings.warn(
             f"state carries mass {seam:.3e} near the periodic seam; "
@@ -188,6 +194,11 @@ def virial_U(state: HydroState) -> float:
     sawtooth weight jumps.
     """
     _warn_seam_support(state)
+    return _virial_U(state)
+
+
+def _virial_U(state: HydroState) -> float:
+    """U with no seam check, for callers that record :func:`seam_norm`."""
     xt = _midpoint_offsets(state.grid)
     return integrate(xt * state.v.values * state.w.values, state.grid)
 
@@ -250,7 +261,8 @@ def virial_rate(state: HydroState) -> float:
 @dataclass(frozen=True)
 class DiagnosticsSample:
     """One sampled time: conserved quantities, virial, localized momenta
-    keyed by (path label, y0), and windowed norms keyed by path label."""
+    keyed by (path label, y0), windowed norms keyed by path label, and the
+    :func:`seam_norm` of the state (None when it was not measured)."""
 
     t: float
     energy: float
@@ -258,6 +270,7 @@ class DiagnosticsSample:
     virial: float
     localized: Mapping[tuple[str, float], float]
     window_norms: Mapping[str, float]
+    seam: Optional[float] = None
 
 
 def _fmt(x: float) -> str:
@@ -270,6 +283,8 @@ def diagnostics_header(sample: DiagnosticsSample) -> list[str]:
         cols.append(f"I_{label}_y{y0:+g}")
     for label in sorted(sample.window_norms):
         cols.append(f"win_{label}")
+    if sample.seam is not None:
+        cols.append("seam")
     return cols
 
 
@@ -287,4 +302,6 @@ def diagnostics_to_csv(samples: Sequence[DiagnosticsSample], path) -> None:
             row = [_fmt(s.t), _fmt(s.energy), _fmt(s.momentum), _fmt(s.virial)]
             row += [_fmt(s.localized[k]) for k in sorted(s.localized)]
             row += [_fmt(s.window_norms[k]) for k in sorted(s.window_norms)]
+            if s.seam is not None:
+                row.append(_fmt(s.seam))
             writer.writerow(row)

@@ -102,6 +102,15 @@ class Grid:
         return _frozen_array(np.stack((self.ik, -self.k2)), dtype=complex)
 
     @cached_property
+    def rfft_pairing(self) -> np.ndarray:
+        """Parseval weights on the rfft layout: for real f, g with rfft
+        spectra F, G, integrate(f g) = Re sum_k w_k conj(F_k) G_k, with
+        w = 2 dx/n, halved at the DC and Nyquist bins."""
+        w = np.full(self.n // 2 + 1, 2.0 * self.dx / self.n)
+        w[[0, -1]] *= 0.5
+        return _frozen_array(w)
+
+    @cached_property
     def lowpass(self) -> np.ndarray:
         """Two-thirds-rule mask on the rfft layout: 1 up to index n//3, else 0."""
         return _frozen_array(np.arange(self.n // 2 + 1) <= self.n // 3)
@@ -125,9 +134,23 @@ class Grid:
                  _frozen_array(kk * kk)))
 
     def periodic_offset(self, x, center: float) -> np.ndarray:
-        """Signed displacement x - center wrapped into [-period/2, period/2)."""
-        half = 0.5 * self.period
-        return np.mod(np.asarray(x, dtype=float) - center + half, self.period) - half
+        """Signed displacement x - center wrapped into [-period/2, period/2).
+
+        Equal bit for bit to np.mod(x - center + period/2, period) - period/2.
+        For a = x - center + period/2 in (-period, 2 period) the remainder is
+        a + period, a or a - period; the last is exact there (Sterbenz), so
+        one add or subtract in place rounds as np.mod does, at a third of
+        its cost.
+        """
+        period = self.period
+        half = 0.5 * period
+        a = np.asarray(x, dtype=float) - center + half
+        if np.ndim(a) == 0 or not (-period < a.min() and a.max() < 2.0 * period):
+            return np.mod(a, period) - half
+        np.add(a, period, out=a, where=a < 0.0)
+        np.subtract(a, period, out=a, where=a >= period)
+        a -= half
+        return a
 
     @classmethod
     def centered(cls, n: int, dx: float) -> "Grid":

@@ -12,21 +12,27 @@ certified by explicit residual norms.
 orthogonal (in L^2) to every translation mode and every negative direction,
 solving the 2N orthogonality conditions F_2j = s_j <eps, Q_j'> and
 F_2j+1 = s_j <eps, chi_j> for (c_j, a_j) by Newton iteration.  chi_c is a
-function of c alone: :class:`ChiCache` solves it once per node c_k = k h of
-a fixed speed lattice and interpolates linearly within the cell that holds
-c.  Each Newton point is evaluated in two passes over all N solitons at
-once.  The residual pass, run at the start and at every trial point, builds
+function of c alone: :class:`ChiCache` knows it at the nodes c_k = k h of a
+fixed speed lattice and interpolates linearly within the cell that holds
+c.  With S(h1, h2) = (h1, -h2), Q_{-c} = S Q_c and H_{-c} = S H_c S exactly,
+so chi_{-c} = S chi_c: a Davidson solve is made once per |c_k|, at the
+positive node, and the negative node is its mirror image.  Each Newton
+point is evaluated in two passes over all N solitons at once.  The
+residual pass, run at the start and at every trial point, builds
 (Q_j, Q_j') from one cosh and one tanh over (N, n), eps, chi_j from one
-inverse transform of the 2N translated chi rows, and F from the 2N
-pairings with eps.  The Jacobian pass, run only at a point the iteration
-steps from, adds the exact Jacobian: eps moves by d eps/d a_k = s_k Q_k'
-and d eps/d c_k = -s_k dQ_k/dc; the translation rows add
+inverse transform of the 2N translated chi rows (their phase ramps are
+products of two short exp tables), and F from the 2N pairings with eps.
+The Jacobian pass, run only at a point the iteration steps from, adds the
+exact Jacobian: eps moves by d eps/d a_k = s_k Q_k' and
+d eps/d c_k = -s_k dQ_k/dc; the translation rows add
 s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows
 add s_j <eps, d chi_j/dc> in c_j (the slope of the cell) and
 -s_j <eps, chi_j'> in a_j (see :func:`_modulate_raw`).  Its profile
-derivatives come from the closed-form jet ``soliton_hydro_jet``,
-(chi_j', d chi_j/dc) from one inverse transform of 4N rows, and its 4N
-pairings with eps.  A converged point, and a
+derivatives come from the closed-form jet ``soliton_hydro_jet``, and the
+pairings of eps with chi_j' and d chi_j/dc are taken in Fourier space by
+Parseval, from one rfft of eps against their 4N spectra, so no inverse
+transform is made.  The cross terms pair Q_k' and dQ_k/dc with the
+physical chi_j of the residual pass.  A converged point, and a
 rejected line-search trial, never builds a Jacobian.
 ``track_modulation`` runs this along a trajectory, starting each snapshot
 from the previous speeds and from the previous centers advanced by c_j dt;
@@ -53,6 +59,7 @@ from .grid import (
     integrate,
     lowpass_array,
     x_norm,
+    x_norm_arrays,
 )
 from .solitons import (
     MultiSolitonConfig,
@@ -250,6 +257,21 @@ class NegativeMode:
         """rfft of the rows (chi_v, chi_w)."""
         return np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
 
+    def mirrored(self) -> "NegativeMode":
+        """The negative direction at -c, S chi_c with S(h1, h2) = (h1, -h2).
+
+        Q_{-c} = S Q_c, E is even under S and P odd, so H_{-c} = S H_c S; in
+        :class:`HessianOperator` four coefficients are even in c and the
+        coupling -2 v w - c is odd, so the identity holds bit for bit.  S is
+        orthogonal and keeps the overlap with (v_c, 0), so the Rayleigh
+        quotient, the residual and the count carry over; the image costs no
+        Davidson iteration.
+        """
+        chi = (self.chi[0], RealField(self.grid, -self.chi[1].values))
+        return NegativeMode(c=-self.c, grid=self.grid, center=self.center, chi=chi,
+                            rayleigh=self.rayleigh, residual=self.residual,
+                            negative_count=self.negative_count, iterations=0)
+
 
 def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
                   tol_first: float = 2e-7, tol_certify: float = 1e-4,
@@ -346,16 +368,21 @@ solves the negative directions."""
 class ChiCache:
     """Negative directions as a function of the speed alone.
 
-    :func:`negative_mode` is solved once per node c_k = k h of the fixed
-    lattice h = ``CHI_LATTICE_STEP``, at the grid midpoint ``center``, and
-    chi_c is the linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h
-    on the cell that holds c, so d chi/dc is the slope of the cell.  Nodes
-    keep to h <= |c_k| <= 1 - h: where a bracketing node would leave that
-    range, the two nearest admissible nodes of the same sign are used
-    (linear extrapolation).  The interpolant is not renormalized; its L^2
-    norm is 1 - O(h^2), and the orthogonality conditions are homogeneous in
-    chi.  ``nodes`` lists the solved nodes by speed, ``solves`` counts them
-    and ``davidson_iters`` totals their Davidson iterations.
+    chi is known at the nodes c_k = k h of the fixed lattice
+    h = ``CHI_LATTICE_STEP``, at the grid midpoint ``center``, and chi_c is
+    the linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h on the
+    cell that holds c, so d chi/dc is the slope of the cell.
+    :func:`negative_mode` is solved once per |c_k|, at the positive node
+    k >= 1; a node k <= -1 is its mirror image chi_{-|c_k|} = S chi_{|c_k|}
+    (:meth:`NegativeMode.mirrored`).  The positive node is solved whichever
+    sign is looked up first, so chi depends on c alone and not on the
+    order of the lookups.  Nodes keep to h <= |c_k| <= 1 - h: where a
+    bracketing node would leave that range, the two nearest admissible
+    nodes of the same sign are used (linear extrapolation).  The interpolant
+    is not renormalized; its L^2 norm is 1 - O(h^2), and the orthogonality
+    conditions are homogeneous in chi.  ``nodes`` lists the solved
+    (positive) nodes by speed, ``solves`` counts them and
+    ``davidson_iters`` totals their Davidson iterations.
     """
 
     def __init__(self, grid: Grid):
@@ -377,11 +404,12 @@ class ChiCache:
         return sum(mode.iterations for mode in self._nodes.values())
 
     def _node(self, k: int) -> NegativeMode:
-        mode = self._nodes.get(k)
+        """chi at c_k: solved at |k|, and mirrored for k <= -1."""
+        mode = self._nodes.get(abs(k))
         if mode is None:
-            mode = negative_mode(k * CHI_LATTICE_STEP, self.grid)
-            self._nodes[k] = mode
-        return mode
+            mode = negative_mode(abs(k) * CHI_LATTICE_STEP, self.grid)
+            self._nodes[abs(k)] = mode
+        return mode if k > 0 else mode.mirrored()
 
     def _cell(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
         """(c_k, chi spectrum at c_k, slope) of the cell [c_k, c_k+1]."""
@@ -457,6 +485,24 @@ def _guarded_sum(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, Profil
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
+_RAMP_BLOCK = 32
+"""Block length B of the two exp tables in :func:`_phase_ramps`."""
+
+
+def _phase_ramps(grid: Grid, shifts: np.ndarray) -> np.ndarray:
+    """The rfft phase ramps exp(-i k_m d) for each shift d, as an
+    (N, n//2 + 1) array.  With m = B q + r, each ramp is the outer product
+    exp(-i k_{Bq} d) exp(-i k_r d) of a table of B entries and one of about
+    n/(2B), so it costs about B + n/(2B) complex exponentials instead of
+    n/2 + 1 (65 instead of 1025 at n = 2048); the product differs from
+    exp(-i k_m d) by the rounding already present in k_m d."""
+    k = grid.rfft_wavenumbers
+    d = shifts[:, None]
+    low = np.exp(-1j * (k[:_RAMP_BLOCK] * d))
+    high = np.exp(-1j * (k[::_RAMP_BLOCK] * d))
+    return (high[:, :, None] * low[:, None, :]).reshape(len(shifts), -1)[:, :len(k)]
+
+
 class _Point(NamedTuple):
     """What the Jacobian pass reuses from the residual pass at one point."""
 
@@ -479,7 +525,7 @@ def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarr
     total, jet = _guarded_sum(speeds, centers, signs, grid)
     eps = state - total
     modes = [chi.mode_for(c) for c in speeds]
-    ramp = np.exp(-1j * grid.rfft_wavenumbers * (centers - chi.center)[:, None])
+    ramp = _phase_ramps(grid, centers - chi.center)
     ramped = ramp[:, None, :] * np.stack([hat for hat, _ in modes])
     fields = np.empty((nsol, 2, 2, grid.n))
     fields[:, 0] = jet.dx
@@ -491,18 +537,21 @@ def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarr
 def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> np.ndarray:
     """The exact Jacobian of the conditions (formulas in
     :func:`_modulate_raw`) at the point of a residual pass that left eps:
-    dQ'/dc, Q'' and dQ/dc from the jet, (chi_j', d chi_j/dc) from one
-    inverse transform of 4N rows, and the 4N pairings with eps."""
+    dQ'/dc, Q'' and dQ/dc from the jet, and the pairings of eps with
+    (chi_j', d chi_j/dc) by Parseval, from one rfft of eps against the 4N
+    spectra, with no inverse transform."""
     nsol = len(signs)
     jet = point.jet
     rows = np.concatenate([grid.ik * point.ramped, point.ramp[:, None, :] * point.slopes], axis=1)
-    chi_rows = np.fft.irfft(rows, n=grid.n).reshape(nsol, 2, -1)
     eps_flat = eps.reshape(-1)
+    eps_hat = (np.fft.rfft(eps) * grid.rfft_pairing).reshape(-1).view(float)
     weight = grid.dx * signs
-    # s_j <eps, .> of dQ_j'/dc, Q_j'', chi_j', d chi_j/dc
+    # s_j <eps, .> of dQ_j'/dc, Q_j'', chi_j', d chi_j/dc; the last two by
+    # Parseval, where Re sum_k w_k conj(eps^_k) row_k is the dot product of
+    # the interleaved real and imaginary parts
     dcdx = (jet.dcdx.reshape(nsol, -1) @ eps_flat) * weight
     dxx = (jet.dxx.reshape(nsol, -1) @ eps_flat) * weight
-    dchi = (chi_rows @ eps_flat) * weight[:, None]
+    dchi = (rows.reshape(nsol, 2, -1).view(float) @ eps_hat) * signs[:, None]
     # d eps/d c_k, d eps/d a_k
     cols = np.concatenate([-signs[:, None, None] * jet.dc, signs[:, None, None] * jet.dx])
     jac = (point.fields.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
@@ -517,7 +566,7 @@ def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                   speeds0: np.ndarray, centers0: np.ndarray, signs: np.ndarray,
-                  chi: ChiCache, max_iter: int, state_norm: float) -> ModulationResult:
+                  chi: ChiCache, max_iter: int) -> ModulationResult:
     """Newton iteration on the 2N conditions, p = (c_1..c_N, a_1..a_N),
 
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
@@ -583,7 +632,9 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         iters += 1
 
     ortho = float(np.max(np.abs(f)))
-    if ortho > 1e-10 * (1.0 + state_norm):
+    # both tolerances are at least 1e-10, so the X-norm of the state is
+    # needed only when the loop stopped above that floor
+    if ortho > 1e-10 and ortho > 1e-10 * (1.0 + x_norm_arrays(sv, sw, grid)):
         raise ModulationError(
             f"no convergence: orthogonality residual {ortho:.3e} after {iters} iterations")
     epsilon = HydroState.from_arrays(grid, eps[0], eps[1])
@@ -611,7 +662,7 @@ def modulate(state: HydroState, guess: MultiSolitonConfig,
         chi = ChiCache(state.grid)
     return _modulate_raw(state.v.values, state.w.values, state.grid,
                          guess.speeds, guess.centers, guess.signs.astype(float),
-                         chi, max_iter, x_norm(state))
+                         chi, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +680,8 @@ class ModulationTrack:
     ``backtracks`` total the counts of the decomposed snapshots, and
     ``chi_nodes`` lists the negative-mode solves of the whole track by node
     speed, each with its Rayleigh quotient, its eigen-residual and its
-    Davidson iterations.
+    Davidson iterations: one per |c_k| the track visits, at the positive
+    node, whose mirror image serves the node -|c_k|.
     """
 
     times: np.ndarray
@@ -709,7 +761,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
             hydro = _as_hydro(snap)
             result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
                                    warm_speeds, warm_centers, signs_f, cache,
-                                   max_iter=MAX_NEWTON_ITERS, state_norm=x_norm(hydro))
+                                   max_iter=MAX_NEWTON_ITERS)
         except (ModulationError, VacuumBreakdown) as exc:
             error = f"at t = {times[i]:.6g}: {exc}"
             done = i

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
@@ -30,13 +29,13 @@ from .dynamics import IntegratorConfig, Trajectory, evolve, step_rk4
 from .functionals import (
     DiagnosticsSample,
     LocalizedMomentumSpec,
-    SeamSupportWarning,
+    _virial_U,
     diagnostics_to_csv,
     energy_hydro,
     localized_momentum,
     localized_momentum_rate,
     momentum,
-    virial_U,
+    seam_norm,
 )
 from .grid import Grid, HydroState, SpinState, integrate, window_norm, x_norm_arrays
 from .modulation import (
@@ -426,16 +425,15 @@ def _collect_samples(cfg: ScenarioConfig, hydro_traj: Trajectory,
                 spec = LocalizedMomentumSpec(center_path=lambda _t, b=b: b, y0=y0, nu=nu)
                 localized[(label, y0)] = localized_momentum(state, spec, t)
             windows[label] = window_norm(state, b, hw)
-        with warnings.catch_warnings():
-            # the virial column is recorded for every state, including ones
-            # whose radiation has reached the seam; the identity checks that
-            # need seam-free data run on their own compactly-centered states
-            warnings.simplefilter("ignore", SeamSupportWarning)
-            uval = virial_U(state)
+        # the virial column is recorded for every state, including ones
+        # whose radiation has reached the seam, with the seam's mass next to
+        # it; the identity checks that need seam-free data run on their own
+        # compactly-centered states
         samples.append(DiagnosticsSample(t=t, energy=energy_hydro(state),
                                          momentum=momentum(state),
-                                         virial=uval,
-                                         localized=localized, window_norms=windows))
+                                         virial=_virial_U(state),
+                                         localized=localized, window_norms=windows,
+                                         seam=seam_norm(state)))
     return tuple(samples)
 
 

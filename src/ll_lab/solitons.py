@@ -106,14 +106,16 @@ class ProfileJet:
         g = (1.0 + vv) / om2
         dg = 2.0 * v * (3.0 + vv) / (om2 * om)   # dg/dv
         cg = c * g
-        d2v = v * (nu2 - 2.0 * vv)
-        d2w = c * (g * d2v + dg * dv * dv)
-        cv = -c * v * (1.0 - y * t) / nu2
-        cw = v / om + cg * cv
-        cdv = (c / nu) * v * (2.0 * t + y * (2.0 * vv / nu2 - 1.0))
-        cdw = g * dv + cg * cdv + c * dg * dv * cv
-        return (np.stack([d2v, d2w], axis=-2), np.stack([cv, cw], axis=-2),
-                np.stack([cdv, cdw], axis=-2))
+        # each row is written into its place in one (3, ..., 2, n) array
+        out = np.empty((3,) + self.q.shape)
+        d2v = np.multiply(v, nu2 - 2.0 * vv, out=out[0, ..., 0, :])
+        np.multiply(c, g * d2v + dg * dv * dv, out=out[0, ..., 1, :])
+        cv = np.divide(-c * v * (1.0 - y * t), nu2, out=out[1, ..., 0, :])
+        np.add(v / om, cg * cv, out=out[1, ..., 1, :])
+        cdv = np.multiply((c / nu) * v, 2.0 * t + y * (2.0 * vv / nu2 - 1.0),
+                          out=out[2, ..., 0, :])
+        np.add(g * dv + cg * cdv, c * dg * dv * cv, out=out[2, ..., 1, :])
+        return out[0], out[1], out[2]
 
     @property
     def dxx(self) -> np.ndarray:
@@ -146,14 +148,16 @@ def soliton_hydro_jet(c, x) -> ProfileJet:
     nu = np.sqrt(1.0 - c * c)
     x = np.asarray(x, dtype=float)
     y = nu * x
-    v = nu / np.cosh(y)
+    # Q and Q' are written into their places in (..., 2, n) arrays
+    q = np.empty(y.shape[:-1] + (2,) + y.shape[-1:])
+    dx = np.empty_like(q)
+    v = np.divide(nu, np.cosh(y), out=q[..., 0, :])
     t = np.tanh(y)
     om = 1.0 - v * v
-    w = c * v / om
-    dv = -nu * v * t
-    dw = c * dv * (1.0 + v * v) / om ** 2
-    return ProfileJet(c, nu, y, v, t, om, np.stack([v, w], axis=-2),
-                      np.stack([dv, dw], axis=-2))
+    np.divide(c * v, om, out=q[..., 1, :])
+    dv = np.multiply(-nu * v, t, out=dx[..., 0, :])
+    np.divide(c * dv * (1.0 + v * v), om ** 2, out=dx[..., 1, :])
+    return ProfileJet(c, nu, y, v, t, om, q, dx)
 
 
 def soliton_energy(c: float) -> float:

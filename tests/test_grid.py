@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ll_lab import (Grid, HydroState, RealField, SpinState, VacuumBreakdown,
                     VACUUM_GUARD, energy_hydro, integrate, spatial_derivative,
@@ -45,6 +47,49 @@ class TestGrid:
         offs = grid.periodic_offset(grid.x, 13.7)
         assert np.all(offs >= -grid.period / 2 - 1e-12)
         assert np.all(offs < grid.period / 2 + 1e-12)
+
+
+# dyadic grids hold their points exactly, so a center x_j +- period/2 puts
+# a grid point exactly on the wrap; the third grid is not dyadic
+OFFSET_GRIDS = (Grid(n=64, dx=0.125, x_min=-4.0), Grid(n=64, dx=0.125, x_min=1.5),
+                Grid(n=100, dx=0.3, x_min=-7.3))
+
+
+@st.composite
+def offset_centers(draw, grid):
+    """A center within five periods of the grid, or one that puts a grid
+    point exactly on the wrap, shifted by a whole number of periods."""
+    period = grid.period
+    if draw(st.booleans()):
+        return draw(st.floats(grid.x_min - 5.0 * period, grid.x_min + 6.0 * period))
+    j = draw(st.integers(0, grid.n - 1))
+    side = draw(st.sampled_from((-0.5, 0.5)))
+    return float(grid.x[j]) + side * period + draw(st.integers(-5, 5)) * period
+
+
+def _mod_offset(grid, x, center):
+    half = 0.5 * grid.period
+    return np.mod(np.asarray(x, dtype=float) - center + half, grid.period) - half
+
+
+@st.composite
+def grid_and_centers(draw):
+    grid = draw(st.sampled_from(OFFSET_GRIDS))
+    centers = draw(st.lists(offset_centers(grid), min_size=1, max_size=4))
+    return grid, centers
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_and_centers())
+def test_periodic_offset_is_np_mod_bit_for_bit(case):
+    """The in-place wrap equals the np.mod formula bit for bit, for scalar
+    and (N, 1) centers."""
+    grid, centers = case
+    for center in (centers[0], np.array(centers)[:, None]):
+        got = grid.periodic_offset(grid.x, center)
+        want = _mod_offset(grid, grid.x, center)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpectralCalculus:

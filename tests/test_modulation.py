@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfig,
                     ModulationError, MultiSolitonConfig, RealField, SolitonParams,
@@ -16,6 +18,7 @@ from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfi
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
                     track_to_csv, x_norm)
 from ll_lab import modulation
+from ll_lab.grid import lowpass_array
 from ll_lab.modulation import CHI_LATTICE_STEP, _jacobian, _residual
 from ll_lab.scenarios import random_smooth_pair
 
@@ -164,6 +167,22 @@ class TestHessianOperator:
         out = hessian_apply(self.op, z)
         assert np.all(out[0].values == 0.0)
         assert np.all(out[1].values == 0.0)
+
+
+MIRROR_GRID = Grid(n=256, dx=0.1, x_min=-12.8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.01, 0.99), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.none(), st.floats(-20.0, 20.0)))
+def test_hessian_mirror_is_exact(c, seed, center):
+    """H_{-c} S h = S H_c h bit for bit, with S(h1, h2) = (h1, -h2): four
+    coefficients are even in c and the coupling -2 v w - c is odd."""
+    h1, h2 = np.random.default_rng(seed).standard_normal((2, MIRROR_GRID.n))
+    o1, o2 = HessianOperator(c, MIRROR_GRID, center).apply_arrays(h1, h2)
+    m1, m2 = HessianOperator(-c, MIRROR_GRID, center).apply_arrays(h1, -h2)
+    assert m1.tobytes() == o1.tobytes()
+    assert m2.tobytes() == (-o2).tobytes()
 
 
 class TestGradEP:
@@ -388,7 +407,11 @@ class TestConditionsJacobian:
         fd = np.column_stack([(residual(p0 + h * e) - residual(p0 - h * e)) / (2.0 * h)
                               for e in np.eye(len(p0))])
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(fd))
-        assert cache.solves == 2 * len(params)
+        # one solve per distinct |k| of the nodes c_k bracketing each speed:
+        # a node c_k < 0 is the mirror image of node -k
+        h = CHI_LATTICE_STEP
+        nodes = {abs(math.floor(c / h) + i) for c in p0[:len(params)] for i in (0, 1)}
+        assert cache.solves == len(nodes)
 
 
 class TestTrackModulation:
@@ -492,6 +515,42 @@ class TestChiCache:
         cache.mode_for(0.625)
         assert cache.solves == 3
         assert cache.davidson_iters >= cache.solves
+
+    @pytest.mark.parametrize("order", [(-0.41, 0.41), (0.41, -0.41)])
+    def test_lookup_order_does_not_matter(self, order):
+        """The positive node is solved whichever sign is looked up first, so
+        the spectra, the solved nodes and the count are bit-identical."""
+        fresh, used = ChiCache(self.grid), ChiCache(self.grid)
+        want = {c: fresh.mode_for(c) for c in (-0.41, 0.41)}
+        got = {c: used.mode_for(c) for c in order}
+        for c in (-0.41, 0.41):
+            for a, b in zip(got[c], want[c]):
+                assert a.tobytes() == b.tobytes()
+        assert used.solves == fresh.solves == 2
+        assert [node.c for node in used.nodes] == [0.4, 0.42]
+        for a, b in zip(used.nodes, fresh.nodes):
+            assert (a.rayleigh, a.residual, a.iterations) == (b.rayleigh, b.residual,
+                                                              b.iterations)
+            assert a.chi[0].values.tobytes() == b.chi[0].values.tobytes()
+            assert a.chi[1].values.tobytes() == b.chi[1].values.tobytes()
+
+    def test_mirrored_node_is_certified(self):
+        """A node c_k < 0 is S chi_{|c_k|}; its eigen-residual under the
+        low-pass H_{c_k}, recomputed here, meets the solver's 2e-7."""
+        cache = ChiCache(self.grid)
+        mode = cache._node(-20)
+        assert mode.c == -0.4
+        assert cache.solves == 1 and cache.nodes[0].c == 0.4
+        grid, n = self.grid, self.grid.n
+        op = HessianOperator(mode.c, grid)
+        x = np.concatenate([mode.chi[0].values, mode.chi[1].values])
+        x /= np.linalg.norm(x)
+        h1, h2 = op.apply_arrays(x[:n], x[n:])
+        hx = np.concatenate([lowpass_array(h1, grid), lowpass_array(h2, grid)])
+        theta = float(x @ hx)
+        assert theta < 0.0
+        assert np.linalg.norm(hx - theta * x) <= 2e-7
+        assert theta == pytest.approx(mode.rayleigh, abs=1e-10)
 
     def test_node_speed_gives_the_node_mode(self):
         node = negative_mode(0.6, self.grid)
