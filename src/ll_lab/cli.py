@@ -8,10 +8,10 @@ counters, chi_nodes, error).  Exit codes:
 
 - ``simulate``: 0 when every scenario passes every verdict; 1 when any
   scenario fails a verdict or stops on a runtime failure (dynamics
-  breakdown, loss of modulation, any other exception), each report still
-  written; 2 for a missing or malformed config (a dt above the step bound
-  cfl_factor * dx^2, or one that does not divide t_end, included) or
-  duplicate scenario names, with nothing written.
+  breakdown, loss of modulation, a datum too near vacuum for dt, any other
+  exception), each report still written; 2 for a missing or malformed
+  config (a dt over the step bound at the soliton sum, or not dividing
+  t_end, included) or duplicate scenario names, with nothing written.
 - ``monotonicity-audit``: as ``simulate`` for its one scenario, judged on
   the localized-momentum and rate verdicts only; 2 also when
   ``diagnostics.y0_list`` is empty.

@@ -21,10 +21,10 @@ stepper carries the rfft spectrum (v^, w^) and a (4, n//2 + 1) work buffer;
 the spin stepper carries the (n, 3) field m in its phase sector and
 renormalizes it to unit length pointwise after every step.
 
-``IntegratorConfig`` accepts dt <= cfl_factor*dx^2 (0.2 by default), but
-that is not RK4's stability limit near a soliton: the largest stable hydro
-step was measured at (2*sqrt(2)/pi^2)*dx^2*min(1 - v^2)^(1/4), within 2%,
-so 0.2*dx^2 is unstable for |c| below about 0.49.
+The step bound dt <= S*(2*sqrt(2)/pi^2)*dx^2*m^(1/4), m = min(1 - v^2), is
+S = ``STEP_SAFETY`` times the measured hydro stability limit (within 2% for
+c = 0.2 ... 0.95).  ``evolve`` checks m = 1, which refuses only steps that
+are unstable for every datum; scenario validation passes its data's m.
 
 In the hydrodynamic frame a right-hand side makes 2 ``numpy.fft`` calls
 and 6 real transforms: one 4-row irfft of (v^, w^, i*k*v^, -k^2*v^) gives
@@ -45,6 +45,7 @@ them sees every call.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -62,6 +63,7 @@ from .grid import (
 
 FieldPair = tuple[RealField, RealField]
 State = Union[HydroState, SpinState]
+STEP_SAFETY = 0.9  # 0.9 times the law ran stably to T = 10, 1.05 times it broke
 
 
 class BlowupError(RuntimeError):
@@ -72,15 +74,13 @@ class BlowupError(RuntimeError):
 class IntegratorConfig:
     """Time-stepping parameters.
 
-    dt must respect dt <= cfl_factor * dx^2 and divide t_end (see
-    :meth:`n_steps`); ``sample_stride`` controls how many steps separate
-    stored snapshots.
+    dt must respect the step bound of :meth:`n_steps` and divide t_end;
+    ``sample_stride`` controls how many steps separate stored snapshots.
     """
 
     dt: float
     t_end: float
     sample_stride: int = 1
-    cfl_factor: float = 0.2
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -89,17 +89,15 @@ class IntegratorConfig:
             raise ValueError(f"t_end: must be non-negative, got {self.t_end}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride: must be >= 1, got {self.sample_stride}")
-        if not (0.0 < self.cfl_factor <= 0.2828):
-            raise ValueError(f"cfl_factor: must lie in (0, 0.2828], got {self.cfl_factor}")
 
-    def n_steps(self, grid: Grid) -> int:
+    def n_steps(self, grid: Grid, margin: float = 1.0) -> int:
         """The number of steps to t_end on this grid, once dt is checked
-        against the step bound cfl_factor * dx^2 and against t_end."""
-        limit = self.cfl_factor * grid.dx ** 2
+        against t_end and the step bound S*(2*sqrt(2)/pi^2)*dx^2*margin^(1/4),
+        where margin in (0, 1] is min(1 - v^2) of the data to be stepped."""
+        limit = STEP_SAFETY * 2.0 * math.sqrt(2.0) / math.pi ** 2 * grid.dx ** 2 * margin**0.25
         if self.dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"dt: {self.dt} exceeds the stability limit {limit} "
-                f"(cfl_factor * dx^2) for dx = {grid.dx}")
+            raise ValueError(f"dt: {self.dt} exceeds the stability limit {limit:.6g} "
+                             f"for dx = {grid.dx} and min(1 - v^2) = {margin:.6g}")
         ratio = self.t_end / self.dt
         nsteps = int(round(ratio))
         if abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):

@@ -273,9 +273,7 @@ class NegativeMode:
                             negative_count=self.negative_count, iterations=0)
 
 
-def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
-                  tol_first: float = 2e-7, tol_certify: float = 1e-4,
-                  maxiter: int = 200) -> NegativeMode:
+def negative_mode(c: float, grid: Grid, center: Optional[float] = None) -> NegativeMode:
     """Compute chi_c by a block Davidson iteration preconditioned with the
     inverse vacuum symbol [[k^2+1, -c], [-c, 1]]^(-1).
 
@@ -331,13 +329,13 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
         precond_block(rand, np.zeros(2)),
     ])
     thetas, U, res, iters = _davidson_lowest(apply_block, precond_block, x0, nev=3,
-                                             tol_first=tol_first, tol_rest=tol_certify,
-                                             maxiter=maxiter)
-    if res[0] > tol_first:
+                                             tol_first=CHI_TOL_FIRST,
+                                             tol_rest=CHI_TOL_CERTIFY, maxiter=CHI_MAXITER)
+    if res[0] > CHI_TOL_FIRST:
         raise ModulationError(
             f"eigensolver did not certify the lowest pair: residual {res[0]:.3e} "
             f"after {iters} iterations at c = {c}")
-    certified = res <= tol_certify
+    certified = res <= CHI_TOL_CERTIFY
     below = thetas < -1e-6
     if np.any(below & ~certified):
         raise ModulationError(
@@ -363,6 +361,9 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None,
 CHI_LATTICE_STEP = 0.02
 """Spacing h of the speed lattice c_k = k h on which :class:`ChiCache`
 solves the negative directions."""
+
+# negative_mode's Davidson: residual of the lowest pair, of a certified pair
+CHI_TOL_FIRST, CHI_TOL_CERTIFY, CHI_MAXITER = 2e-7, 1e-4, 200
 
 
 class ChiCache:

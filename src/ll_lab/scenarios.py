@@ -145,8 +145,13 @@ class ScenarioConfig:
                 f"perturbation.index: {self.perturbation.index} out of range for {nsol} solitons")
         if self.perturbation.kind == "between_bump" and nsol < 2:
             raise ConfigError("perturbation.kind: between_bump needs at least two solitons")
+        # the step bound at the soliton sum's margin; the spin frame keeps m = 1
         try:
-            self.integrator.n_steps(self.grid)
+            margin = multi_soliton_sum(self.solitons, self.grid).vacuum_margin()
+        except ValueError as exc:
+            raise ConfigError(f"solitons: soliton sum on the grid: {exc}") from exc
+        try:
+            self.integrator.n_steps(self.grid, margin if self.frame == "hydro" else 1.0)
         except ValueError as exc:
             raise ConfigError(f"integrator.{exc}") from exc
         gam = self.diagnostics.gammas
@@ -316,11 +321,15 @@ def _perturbation_arrays(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_initial(cfg: ScenarioConfig) -> HydroState:
-    """Multi-soliton sum plus the configured perturbation, in hydro form."""
+    """Multi-soliton sum plus the configured perturbation, in hydro form; in
+    the hydro frame dt is checked again at the datum's vacuum margin."""
     base = multi_soliton_sum(cfg.solitons, cfg.grid)
     dv, dw = _perturbation_arrays(cfg)
     try:
-        return HydroState.from_arrays(cfg.grid, base.v.values + dv, base.w.values + dw)
+        state = HydroState.from_arrays(cfg.grid, base.v.values + dv, base.w.values + dw)
+        if cfg.frame == "hydro":
+            cfg.integrator.n_steps(cfg.grid, state.vacuum_margin())
+        return state
     except ValueError as exc:
         raise ConfigError(f"perturbed initial datum is invalid: {exc}") from exc
 

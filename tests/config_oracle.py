@@ -114,14 +114,12 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
 
     int_obj = _expect_object(top["integrator"], f"{path}.integrator",
                              required=("dt", "t_end"),
-                             optional=("sample_stride", "cfl_factor"))
+                             optional=("sample_stride",))
     kwargs: dict[str, Any] = {"dt": _real(int_obj["dt"], f"{path}.integrator.dt"),
                               "t_end": _real(int_obj["t_end"], f"{path}.integrator.t_end")}
     if "sample_stride" in int_obj:
         kwargs["sample_stride"] = _integer(int_obj["sample_stride"],
                                            f"{path}.integrator.sample_stride")
-    if "cfl_factor" in int_obj:
-        kwargs["cfl_factor"] = _real(int_obj["cfl_factor"], f"{path}.integrator.cfl_factor")
     try:
         integrator = IntegratorConfig(**kwargs)
     except ValueError as exc:

@@ -99,22 +99,35 @@ class TestSimulate:
         assert not out.exists()
 
     def test_runtime_failure_exit_one_report_written(self, tmp_path, capsys):
-        doomed = copy.deepcopy(TINY)
-        doomed["name"] = "doomed"
-        doomed["solitons"] = {
+        # a stiff pair whose step is over the bound at the soliton cores is
+        # refused up front
+        stiff = copy.deepcopy(TINY)
+        stiff["name"] = "stiff"
+        stiff["solitons"] = {
             "params": [{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
             "min_separation": 20.0}
-        doomed["integrator"] = {"dt": 0.0025, "t_end": 2.0,
-                                "sample_stride": 5, "cfl_factor": 0.25}
-        cfg = write_config(tmp_path, doomed)
+        stiff["integrator"] = {"dt": 0.0025, "t_end": 2.0, "sample_stride": 5}
         out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, stiff, "stiff.json")),
+                     "--out", str(out)]) == 2
+        assert "stiff.json.integrator.dt: 0.0025 exceeds the stability limit" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # a slow soliton pushed along its negative direction deepens until
+        # it breaks down at t = 1.494, at a step that validates
+        doomed = copy.deepcopy(TINY)
+        doomed["name"] = "doomed"
+        doomed["solitons"] = {"params": [{"c": 0.2, "a": 0.0}], "min_separation": 10.0}
+        doomed["perturbation"] = {"kind": "chi_direction", "amplitude": 0.2}
+        doomed["integrator"] = {"dt": 0.001, "t_end": 2.0, "sample_stride": 250}
+        cfg = write_config(tmp_path, doomed)
         assert main(["simulate", str(cfg), "--out", str(out)]) == 1
         payload = json.loads((out / "doomed" / "report.json").read_text())
         assert payload["error"]
         assert set(payload) == REPORT_KEYS
 
     @pytest.mark.parametrize("integrator", [
-        {"dt": 0.005, "t_end": 1.0, "sample_stride": 250},    # over cfl_factor * dx^2
+        {"dt": 0.005, "t_end": 1.0, "sample_stride": 250},    # over the step bound
         {"dt": 0.001, "t_end": 1.0005, "sample_stride": 250},  # dt does not divide t_end
     ])
     def test_bad_dt_exit_two_nothing_written(self, tmp_path, capsys, integrator):

@@ -37,11 +37,6 @@ class TestIntegratorConfig:
             IntegratorConfig(dt=1e-3, t_end=-1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(dt=1e-3, t_end=1.0, cfl_factor=0.0)
-        with pytest.raises(ValueError):
-            # above the vacuum RK4 stability constant
-            IntegratorConfig(dt=1e-3, t_end=1.0, cfl_factor=0.5)
 
 
 class TestRhsDecomposition:
@@ -265,8 +260,7 @@ class TestFusedPathBits:
                                  min_separation=20.0)
         state = multi_soliton_sum(cfg, grid)
         dt = 2.5e-3
-        traj = evolve(state, IntegratorConfig(dt=dt, t_end=2.0, sample_stride=1,
-                                              cfl_factor=0.25))
+        traj = evolve(state, IntegratorConfig(dt=dt, t_end=2.0, sample_stride=1))
         assert traj.error == ("VacuumBreakdown at t = 0.03: "
                               "1 - v^2 fell below the vacuum guard during evaluation")
         assert len(traj) == 12
@@ -330,8 +324,7 @@ class TestEvolveBookkeeping:
         cfg = MultiSolitonConfig((SolitonParams(-0.4, -12.0), SolitonParams(0.4, 12.0)),
                                  min_separation=20.0)
         state = multi_soliton_sum(cfg, grid)
-        traj = evolve(state, IntegratorConfig(dt=2.5e-3, t_end=2.0, sample_stride=5,
-                                              cfl_factor=0.25))
+        traj = evolve(state, IntegratorConfig(dt=2.5e-3, t_end=2.0, sample_stride=5))
         assert traj.error is not None
         assert "t =" in traj.error
         assert len(traj) >= 1

@@ -93,10 +93,11 @@ class TestNegativeMode:
         with pytest.raises(ValueError):
             negative_mode(0.0, ORACLE_GRID)
 
-    def test_uncertified_mode_is_a_modulation_error(self):
+    def test_uncertified_mode_is_a_modulation_error(self, monkeypatch):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        monkeypatch.setattr(modulation, "CHI_MAXITER", 1)
         with pytest.raises(ModulationError, match="did not certify"):
-            negative_mode(0.4, grid, maxiter=1)
+            negative_mode(0.4, grid)
 
 
 class TestHessianOperator:

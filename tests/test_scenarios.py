@@ -3,15 +3,20 @@
 import copy
 import importlib.util
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ll_lab import (ConfigError, Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
-                    SolitonParams, integrate, load_scenario, run_scenario,
-                    scenario_from_dict, scenario_from_json, write_report, x_norm)
+                    SolitonParams, evolve, integrate, load_scenario, multi_soliton_sum,
+                    run_scenario, scenario_from_dict, scenario_from_json, write_report,
+                    x_norm)
+from ll_lab.dynamics import STEP_SAFETY
 from ll_lab.scenarios import (DiagnosticsConfig, Perturbation, ScenarioConfig,
                               _monotonicity_defect, build_initial, random_smooth_pair,
                               read_config)
@@ -75,6 +80,18 @@ MALFORMED = [
     # dt is checked against the grid's step bound and against t_end
     ({"integrator__dt": 0.005}, "config.integrator.dt: 0.005 exceeds the stability limit"),
     ({"integrator__t_end": 1.0005}, "config.integrator.dt: t_end = 1.0005"),
+    # the step bound is taken at the cores of the soliton sum
+    ({"name": "doomed", "solitons__params": [{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
+      "solitons__min_separation": 20.0, "integrator__dt": 0.0025, "integrator__t_end": 2.0,
+      "integrator__sample_stride": 5},
+     "config.integrator.dt: 0.0025 exceeds the stability limit"),
+    # the spin frame keeps the vacuum bound 0.258 dx^2
+    ({"frame": "spin", "integrator__dt": 0.003, "integrator__t_end": 3.0},
+     "config.integrator.dt: 0.003 exceeds the stability limit 0.00257922 for dx = 0.1 "
+     "and min(1 - v^2) = 1"),
+    ({"solitons__params": [{"c": 0.1, "a": 0.0}, {"c": 0.2, "a": 0.5}],
+      "solitons__min_separation": 0.5},
+     "config.solitons: soliton sum on the grid: non-vacuum constraint violated"),
 ]
 
 
@@ -145,9 +162,12 @@ ACCEPTED = [
             perturbation__seed=9),
     variant(perturbation__kind="chi_direction", perturbation__amplitude=0.01),
     variant(frame="spin"),
-    variant(name="doomed", solitons__params=[{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
-            solitons__min_separation=20.0, integrator__dt=0.0025, integrator__t_end=2.0,
-            integrator__sample_stride=5, integrator__cfl_factor=0.25),
+    # the stiff pair of MALFORMED, in the spin frame
+    variant(frame="spin", solitons__params=[{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
+            solitons__min_separation=20.0, integrator__dt=0.0025, integrator__t_end=2.0),
+    # c = 0.95 at dt = 0.25 dx^2, 0.994 of its step bound
+    variant(solitons__params=[{"c": 0.95, "a": 0.0}], grid__n=1024, integrator__dt=0.0025,
+            integrator__t_end=10.0),
     variant(solitons=PAIR, diagnostics__b_path="fixed_speed", diagnostics__gammas=[0.0]),
     variant(solitons=PAIR, perturbation__kind="between_bump", perturbation__amplitude=0.05),
     variant(solitons__params=[{"c": -0.3, "a": -15.0}, {"c": 0.3, "a": 15.0}],
@@ -285,6 +305,85 @@ class TestBuildInitial:
         with pytest.raises(ConfigError, match="initial datum"):
             build_initial(scenario_from_dict(data))
 
+    def test_datum_margin_checked_against_dt(self):
+        """chi_direction 0.5 deepens the c = 0.5 core to min(1 - v^2) = 0.0036,
+        where dt = 1e-3 is 1.59 times the step bound: the datum is refused."""
+        data = variant(perturbation__kind="chi_direction", perturbation__amplitude=0.5)
+        cfg = scenario_from_dict(data)
+        with pytest.raises(ConfigError, match="initial datum is invalid: dt: 0.001 exceeds "
+                                              "the stability limit"):
+            build_initial(cfg)
+        build_initial(scenario_from_dict(variant(frame="spin", perturbation=data["perturbation"])))
+
+
+LAW = 2.0 * math.sqrt(2.0) / math.pi ** 2  # RK4's span on the imaginary axis over pi^2
+HORIZON = 400  # steps; dt = 1.2 times the law breaks down within about 30
+
+
+@st.composite
+def bound_cases(draw, c_max):
+    """(speeds, n, dx, random_smooth amplitude, seed): one soliton or an
+    ordered pair, each |c| in [0.2, c_max]."""
+    mags = draw(st.lists(st.floats(0.2, c_max), min_size=1, max_size=2))
+    speeds = [draw(st.sampled_from((-1.0, 1.0))) * mags[0]] + mags[1:]
+    assume(len(speeds) == 1 or speeds[0] < speeds[1])
+    return (speeds, draw(st.sampled_from((256, 512))), draw(st.floats(0.05, 0.2)),
+            draw(st.floats(0.0, 0.01)), draw(st.integers(0, 2 ** 31 - 1)))
+
+
+def _bound_config(speeds, n, dx, amplitude, seed, dt):
+    """A hydro config of HORIZON steps of dt, with its soliton sum and
+    perturbed datum."""
+    period = n * dx
+    centers = [0.0] if len(speeds) == 1 else [-period / 4, period / 4]
+    perturbation = ({"kind": "random_smooth", "amplitude": amplitude, "seed": seed}
+                    if amplitude > 0.0 else {"kind": "none"})
+    return variant(solitons__params=[{"c": c, "a": a} for c, a in zip(speeds, centers)],
+                   solitons__min_separation=period / 2, perturbation=perturbation,
+                   grid__n=n, grid__dx=dx, integrator__dt=dt,
+                   integrator__t_end=HORIZON * dt, integrator__sample_stride=HORIZON)
+
+
+def _margin(case) -> float:
+    """min(1 - v^2) over the soliton sum and the perturbed datum."""
+    dx = case[2]
+    try:
+        cfg = scenario_from_dict(_bound_config(*case, dt=1e-3 * dx * dx))
+    except ConfigError as exc:
+        assume("soliton sum" not in str(exc))
+        raise
+    return min(multi_soliton_sum(cfg.solitons, cfg.grid).vacuum_margin(),
+               build_initial(cfg).vacuum_margin())
+
+
+@settings(max_examples=20, deadline=None)
+@given(bound_cases(c_max=0.95), st.floats(0.5, 1.0))
+def test_validated_step_runs_stably(case, f):
+    """A config whose dt is f <= 1 times the bound validates, builds, and
+    evolves HORIZON steps without breaking down."""
+    dx = case[2]
+    dt = f * STEP_SAFETY * LAW * dx * dx * _margin(case) ** 0.25
+    cfg = scenario_from_dict(_bound_config(*case, dt=dt))
+    traj = evolve(build_initial(cfg), cfg.integrator)
+    assert traj.error is None
+    assert len(traj) == 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(bound_cases(c_max=0.5))
+def test_unsafe_step_breaks_within_the_horizon(case):
+    """Negative control: 1.2 times the law without its safety factor is
+    refused, and, stepped anyway, breaks down within HORIZON steps."""
+    dx = case[2]
+    dt = 1.2 * LAW * dx * dx * _margin(case) ** 0.25
+    data = _bound_config(*case, dt=dt)
+    with pytest.raises(ConfigError, match="exceeds the stability limit"):
+        build_initial(scenario_from_dict(data))
+    data["integrator"]["dt"] = data["integrator"]["t_end"] = 1e-3 * dx * dx
+    state = build_initial(scenario_from_dict(data))
+    traj = evolve(state, IntegratorConfig(dt=dt, t_end=HORIZON * dt, sample_stride=HORIZON))
+    assert traj.error is not None
+
 
 class TestMonotonicityDefect:
     def test_hand_series(self):
@@ -344,7 +443,7 @@ class TestRunScenario:
         assert report.all_passed, [(v.name, v.measured) for v in report.verdicts]
 
     def test_blowup_recorded_and_report_written(self, tmp_path):
-        data = variant(
+        stiff = variant(
             name="doomed",
             solitons__params=[{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
             solitons__min_separation=20.0,
@@ -352,7 +451,16 @@ class TestRunScenario:
             integrator__dt=0.0025,
             integrator__t_end=2.0,
             integrator__sample_stride=5)
-        data["integrator"]["cfl_factor"] = 0.25
+        with pytest.raises(ConfigError, match="config.integrator.dt"):
+            scenario_from_dict(stiff)
+        # the negative direction deepens the slow soliton until it breaks
+        # down at t = 1.494, at a step that validates
+        data = variant(
+            name="doomed",
+            solitons__params=[{"c": 0.2, "a": 0.0}],
+            perturbation__kind="chi_direction",
+            perturbation__amplitude=0.2,
+            integrator__t_end=2.0)
         report = run_scenario(scenario_from_dict(data))
         assert report.error is not None
         assert not report.all_passed or report.error  # failed run must be visible
