@@ -53,12 +53,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grid import (
-    VACUUM_GUARD,
     Grid,
     HydroState,
     RealField,
     SpinState,
     VacuumBreakdown,
+    _check_vacuum,
 )
 
 FieldPair = tuple[RealField, RealField]
@@ -104,11 +104,6 @@ class IntegratorConfig:
             raise ValueError(f"dt: t_end = {self.t_end} is not an integer multiple of "
                              f"dt = {self.dt}")
         return nsteps
-
-
-def _check_vacuum(one_minus_v2: np.ndarray) -> None:
-    if float(one_minus_v2.min()) < VACUUM_GUARD:
-        raise VacuumBreakdown("1 - v^2 fell below the vacuum guard during evaluation")
 
 
 def _v_derivatives(v: np.ndarray, grid: Grid) -> np.ndarray:

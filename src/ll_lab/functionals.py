@@ -6,8 +6,9 @@ Energy and momentum in the hydrodynamic frame:
     P = int v w
 
 The localized momentum I(t) weights the momentum density by a smoothed step
-Phi((x - b(t) - y0) ) with Phi(x) = (1 + tanh(nu*x/16))/2, following a center
-path b.  Its exact time derivative along the flow is
+Phi(x - b(t) - y0) with Phi(x) = (1 + tanh(nu*x/16))/2, evaluated at the
+position b(t) + y0 that the caller passes for the time at hand.  Along a
+path b moving at speed b', its exact time derivative along the flow is
 
     dI/dt = 1/2 int Phi' * ( v^2 + w^2 - 2 b' v w - 3 v^2 w^2
                              + (3 - v^2)/(1-v^2)^2 (v')^2 )
@@ -29,19 +30,19 @@ seam-centered band-limited data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import FieldPair, apply_B, apply_L
 from .grid import (
-    VACUUM_GUARD,
     Grid,
     HydroState,
     SpinState,
-    VacuumBreakdown,
+    _check_vacuum,
     deriv_array,
     integrate,
     spin_derivative,
@@ -53,18 +54,12 @@ class SeamSupportWarning(UserWarning):
     """Data has noticeable mass at the periodic seam; weighted identities degrade."""
 
 
-def _check_state_vacuum(v: np.ndarray) -> np.ndarray:
-    om = 1.0 - v * v
-    if float(np.min(om)) < VACUUM_GUARD:
-        raise VacuumBreakdown("1 - v^2 fell below the vacuum guard")
-    return om
-
-
 def energy_hydro(state: HydroState) -> float:
     """E = 1/2 int ( (v')^2/(1-v^2) + (1-v^2) w^2 + v^2 )."""
     v = state.v.values
     w = state.w.values
-    om = _check_state_vacuum(v)
+    om = 1.0 - v * v
+    _check_vacuum(om)
     dv = deriv_array(v, state.grid, 1)
     dens = dv * dv / om + om * w * w + v * v
     return 0.5 * integrate(dens, state.grid)
@@ -115,49 +110,34 @@ def phi_bump_d3(x, nu: float) -> np.ndarray:
     return -(nu ** 3 / 4096.0) * sech2 * (sech2 - 2.0 * tanh2)
 
 
-@dataclass(frozen=True)
-class LocalizedMomentumSpec:
-    """Weight specification: the step sits at center_path(t) + y0 and its
-    width is set by nu (smaller nu, wider transition region)."""
-
-    center_path: Callable[[float], float]
-    y0: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        _check_nu(self.nu)
-        if not np.isfinite(self.y0):
-            raise ValueError(f"y0 must be finite, got {self.y0}")
-        if not callable(self.center_path):
-            raise TypeError("center_path must be callable t -> position")
-
-
 def _step_offsets(grid: Grid, center: float) -> np.ndarray:
     """Offsets x - center wrapped periodically; the step is cut at the
     antipode of the center, the natural periodic truncation."""
+    if not math.isfinite(center):
+        raise ValueError(f"step center must be finite, got {center}")
     return grid.periodic_offset(grid.x, center)
 
 
-def localized_momentum(state: HydroState, spec: LocalizedMomentumSpec, t: float) -> float:
-    """I(t) = int v w Phi(x - b(t) - y0)."""
-    center = float(spec.center_path(t)) + spec.y0
+def localized_momentum(state: HydroState, center: float, nu: float) -> float:
+    """I = int v w Phi(x - center), with the step at center = b(t) + y0."""
     xi = _step_offsets(state.grid, center)
-    dens = state.v.values * state.w.values * phi_bump(xi, spec.nu)
+    dens = state.v.values * state.w.values * phi_bump(xi, nu)
     return integrate(dens, state.grid)
 
 
-def localized_momentum_rate(state: HydroState, spec: LocalizedMomentumSpec,
-                            t: float, center_speed: float) -> float:
-    """Exact dI/dt along the flow, given the instantaneous path speed b'(t)."""
+def localized_momentum_rate(state: HydroState, center: float, nu: float,
+                            center_speed: float) -> float:
+    """Exact dI/dt along the flow, with the step at center = b(t) + y0 and
+    the path moving at speed b'(t) = center_speed."""
     grid = state.grid
     v = state.v.values
     w = state.w.values
-    om = _check_state_vacuum(v)
+    om = 1.0 - v * v
+    _check_vacuum(om)
     dv = deriv_array(v, grid, 1)
-    center = float(spec.center_path(t)) + spec.y0
     xi = _step_offsets(grid, center)
-    d1 = phi_bump_d1(xi, spec.nu)
-    d3 = phi_bump_d3(xi, spec.nu)
+    d1 = phi_bump_d1(xi, nu)
+    d3 = phi_bump_d3(xi, nu)
     bracket = (v * v + w * w - 2.0 * float(center_speed) * v * w
                - 3.0 * v * v * w * w + (3.0 - v * v) / (om * om) * dv * dv)
     return 0.5 * integrate(d1 * bracket + d3 * np.log(om), grid)
@@ -262,7 +242,7 @@ def virial_rate(state: HydroState) -> float:
 class DiagnosticsSample:
     """One sampled time: conserved quantities, virial, localized momenta
     keyed by (path label, y0), windowed norms keyed by path label, and the
-    :func:`seam_norm` of the state (None when it was not measured)."""
+    :func:`seam_norm` of the state."""
 
     t: float
     energy: float
@@ -270,7 +250,7 @@ class DiagnosticsSample:
     virial: float
     localized: Mapping[tuple[str, float], float]
     window_norms: Mapping[str, float]
-    seam: Optional[float] = None
+    seam: float
 
 
 def _fmt(x: float) -> str:
@@ -283,8 +263,7 @@ def diagnostics_header(sample: DiagnosticsSample) -> list[str]:
         cols.append(f"I_{label}_y{y0:+g}")
     for label in sorted(sample.window_norms):
         cols.append(f"win_{label}")
-    if sample.seam is not None:
-        cols.append("seam")
+    cols.append("seam")
     return cols
 
 
@@ -302,6 +281,5 @@ def diagnostics_to_csv(samples: Sequence[DiagnosticsSample], path) -> None:
             row = [_fmt(s.t), _fmt(s.energy), _fmt(s.momentum), _fmt(s.virial)]
             row += [_fmt(s.localized[k]) for k in sorted(s.localized)]
             row += [_fmt(s.window_norms[k]) for k in sorted(s.window_norms)]
-            if s.seam is not None:
-                row.append(_fmt(s.seam))
+            row.append(_fmt(s.seam))
             writer.writerow(row)

@@ -31,6 +31,11 @@ class VacuumBreakdown(RuntimeError):
     """The transverse spin component (or 1 - v^2) dropped below the guard."""
 
 
+def _check_vacuum(one_minus_v2: np.ndarray) -> None:
+    if float(one_minus_v2.min()) < VACUUM_GUARD:
+        raise VacuumBreakdown("1 - v^2 fell below the vacuum guard during evaluation")
+
+
 def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True)
     if shape is not None and out.shape != shape:

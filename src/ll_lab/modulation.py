@@ -53,7 +53,6 @@ from .grid import (
     Grid,
     HydroState,
     RealField,
-    SpinState,
     VacuumBreakdown,
     deriv_array,
     integrate,
@@ -65,7 +64,7 @@ from .solitons import (
     MultiSolitonConfig,
     ProfileJet,
     _sum_profile_arrays,
-    extract_hydro,
+    as_hydro,
     soliton_hydro,
     soliton_hydro_jet,
     soliton_nu,
@@ -567,7 +566,7 @@ def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                   speeds0: np.ndarray, centers0: np.ndarray, signs: np.ndarray,
-                  chi: ChiCache, max_iter: int) -> ModulationResult:
+                  chi: ChiCache) -> ModulationResult:
     """Newton iteration on the 2N conditions, p = (c_1..c_N, a_1..a_N),
 
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
@@ -601,7 +600,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
     # drive the conditions to an absolute 1e-10, the floor of every
     # normalized tolerance below; Newton squares the error per step, so
     # this costs at most one iteration beyond the stated criterion
-    while np.max(np.abs(f)) > 1e-10 and iters < max_iter:
+    while np.max(np.abs(f)) > 1e-10 and iters < MAX_NEWTON_ITERS:
         try:
             step = np.linalg.solve(_jacobian(point, eps, grid, signs), f)
         except np.linalg.LinAlgError as exc:
@@ -651,10 +650,9 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
 
 
 def modulate(state: HydroState, guess: MultiSolitonConfig,
-             chi: Optional[ChiCache] = None,
-             max_iter: int = MAX_NEWTON_ITERS) -> ModulationResult:
+             chi: Optional[ChiCache] = None) -> ModulationResult:
     """Solve the orthogonality conditions for (c_j, a_j) by Newton iteration
-    starting from the guess configuration.
+    starting from the guess configuration, in at most MAX_NEWTON_ITERS steps.
 
     Raises :class:`ModulationError` with reason "no convergence", "ordering
     lost", or "speed out of range".
@@ -663,7 +661,7 @@ def modulate(state: HydroState, guess: MultiSolitonConfig,
         chi = ChiCache(state.grid)
     return _modulate_raw(state.v.values, state.w.values, state.grid,
                          guess.speeds, guess.centers, guess.signs.astype(float),
-                         chi, max_iter)
+                         chi)
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +716,6 @@ class ModulationTrack:
         return np.gradient(self.centers, self.times, axis=0)
 
 
-def _as_hydro(state) -> HydroState:
-    if isinstance(state, HydroState):
-        return state
-    if isinstance(state, SpinState):
-        return extract_hydro(state)
-    raise TypeError(f"cannot take modulation of {type(state).__name__}")
-
-
 def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationTrack:
     """Run the Newton decomposition at every snapshot, sharing one
     :class:`ChiCache`.  Each solve after the first starts from a predictor:
@@ -733,8 +723,9 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     the time step between the snapshots.
 
     Tracking stops at the first snapshot that cannot be decomposed (a
-    :class:`ModulationError` or a :class:`VacuumBreakdown`); the track keeps
-    the rows before it and names the failure and its time in ``error``.
+    :class:`ModulationError`, or a :class:`VacuumBreakdown` of the snapshot
+    or of its hydro view :func:`as_hydro`); the track keeps the rows before
+    it and names the failure and its time in ``error``.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -759,10 +750,9 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
         if i > 0:
             warm_centers = warm_centers + warm_speeds * (times[i] - times[i - 1])
         try:
-            hydro = _as_hydro(snap)
+            hydro = as_hydro(snap)
             result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
-                                   warm_speeds, warm_centers, signs_f, cache,
-                                   max_iter=MAX_NEWTON_ITERS)
+                                   warm_speeds, warm_centers, signs_f, cache)
         except (ModulationError, VacuumBreakdown) as exc:
             error = f"at t = {times[i]:.6g}: {exc}"
             done = i

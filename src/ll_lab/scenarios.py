@@ -3,11 +3,12 @@
 A scenario bundles a multi-soliton configuration, an optional perturbation,
 a grid, integrator settings, and the diagnostics to record.  ``run_scenario``
 builds the initial state, evolves it in the requested frame, tracks the
-modulation parameters, samples the conserved and localized functionals along
-the tracked soliton paths, and turns the recorded series into pass/fail
-verdicts.  ``write_report`` emits diagnostics.csv, modulation.csv, and
-report.json for every subcommand's ``RunReport``; verdicts are pure
-functions of the emitted series.
+modulation parameters, samples the conserved and localized functionals at
+the positions of the tracked soliton paths, snapshot by snapshot, and turns
+the recorded series into pass/fail verdicts.  A track lost mid-run keeps
+its rows, and the diagnostics stop where it stops.  ``write_report`` emits
+diagnostics.csv, modulation.csv, and report.json for every subcommand's
+``RunReport``; verdicts are pure functions of the emitted series.
 
 Configs are strict JSON read by ``read_config``, for which the config
 dataclasses are the schema: unknown keys are rejected with the offending
@@ -25,10 +26,9 @@ from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_t
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve, step_rk4
+from .dynamics import IntegratorConfig, evolve, step_rk4
 from .functionals import (
     DiagnosticsSample,
-    LocalizedMomentumSpec,
     _virial_U,
     diagnostics_to_csv,
     energy_hydro,
@@ -37,7 +37,7 @@ from .functionals import (
     momentum,
     seam_norm,
 )
-from .grid import Grid, HydroState, SpinState, integrate, window_norm, x_norm_arrays
+from .grid import Grid, HydroState, integrate, window_norm, x_norm_arrays
 from .modulation import (
     ModulationTrack,
     negative_mode,
@@ -46,8 +46,7 @@ from .modulation import (
 )
 from .solitons import (
     MultiSolitonConfig,
-    SolitonParams,
-    extract_hydro,
+    as_hydro,
     multi_soliton_sum,
     reconstruct_spin,
     speed_gaps,
@@ -69,22 +68,21 @@ class ConfigError(ValueError):
 # prefixes the path of the dataclass itself.
 
 PERTURBATION_KINDS = ("none", "random_smooth", "chi_direction", "between_bump")
+BUMP_WIDTH = 5.0  # Gaussian width of the between_bump bump
 
 
 @dataclass(frozen=True)
 class Perturbation:
     """Initial-datum perturbation: a kind plus its numeric knobs.
 
-    ``seed`` feeds the random generator of random_smooth, ``index`` picks the
-    soliton whose negative direction chi_direction follows, and ``width`` is
-    the Gaussian width of between_bump.
+    ``seed`` feeds the random generator of random_smooth, and ``index`` picks
+    the soliton whose negative direction chi_direction follows.
     """
 
     kind: str
     amplitude: float = 0.0
     seed: int = 0
     index: int = 0
-    width: float = 5.0
 
     def __post_init__(self) -> None:
         if self.kind not in PERTURBATION_KINDS:
@@ -98,8 +96,6 @@ class Perturbation:
             raise ConfigError(f"amplitude: must be > 0 for kind {self.kind!r}")
         if self.index < 0:
             raise ConfigError(f"index: must be >= 0, got {self.index}")
-        if self.width <= 0.0 or not np.isfinite(self.width):
-            raise ConfigError(f"width: must be > 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -316,7 +312,7 @@ def _perturbation_arrays(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     centers = cfg.solitons.centers
     mid = 0.5 * (centers[0] + centers[1])
     xi = grid.periodic_offset(grid.x, mid)
-    dv = pert.amplitude * np.exp(-((xi / pert.width) ** 2))
+    dv = pert.amplitude * np.exp(-((xi / BUMP_WIDTH) ** 2))
     return dv, np.zeros(grid.n)
 
 
@@ -385,14 +381,6 @@ class RunReport:
                 "error": self.error}
 
 
-def _hydro_view(traj: Trajectory) -> Trajectory:
-    if traj.frame == "hydro":
-        return traj
-    states = tuple(extract_hydro(s) for s in traj.states)
-    return Trajectory(frame="hydro", grid=traj.grid, times=traj.times.copy(),
-                      states=states, error=traj.error)
-
-
 def _paths(cfg: ScenarioConfig, track: ModulationTrack
            ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Per-snapshot positions and rates of every monitored path label.
@@ -419,20 +407,23 @@ def _paths(cfg: ScenarioConfig, track: ModulationTrack
     return paths, rates
 
 
-def _collect_samples(cfg: ScenarioConfig, hydro_traj: Trajectory,
+def _collect_samples(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
                      paths: Mapping[str, np.ndarray]) -> tuple[DiagnosticsSample, ...]:
+    """One sample per tracked row: ``times`` are the track's, ``states`` the
+    trajectory's snapshots in either frame, and the functionals are taken at
+    each path's position in that row."""
     nu = speed_gaps(cfg.solitons.speeds).nu
     hw = cfg.diagnostics.window_half_width
     samples = []
-    for i, state in enumerate(hydro_traj.states):
-        t = float(hydro_traj.times[i])
+    for i in range(len(times)):
+        t = float(times[i])
+        state = as_hydro(states[i])
         localized: dict[tuple[str, float], float] = {}
         windows: dict[str, float] = {}
         for label, centers in paths.items():
             b = float(centers[i])
             for y0 in cfg.diagnostics.y0_list:
-                spec = LocalizedMomentumSpec(center_path=lambda _t, b=b: b, y0=y0, nu=nu)
-                localized[(label, y0)] = localized_momentum(state, spec, t)
+                localized[(label, y0)] = localized_momentum(state, b + y0, nu)
             windows[label] = window_norm(state, b, hw)
         # the virial column is recorded for every state, including ones
         # whose radiation has reached the seam, with the seam's mass next to
@@ -452,9 +443,9 @@ def _monotonicity_defect(series: np.ndarray) -> float:
     return float(np.min(series - running_max))
 
 
-def _rate_fd_check(cfg: ScenarioConfig, traj: Trajectory, hydro_traj: Trajectory,
-                  track: ModulationTrack, paths: Mapping[str, np.ndarray],
-                  rates: Mapping[str, np.ndarray]) -> float:
+def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
+                   paths: Mapping[str, np.ndarray],
+                   rates: Mapping[str, np.ndarray]) -> float:
     """Worst |finite difference - formula| for dI/dt over a few spot checks.
 
     The comparison runs along frozen constant-speed rays through the sampled
@@ -467,30 +458,27 @@ def _rate_fd_check(cfg: ScenarioConfig, traj: Trajectory, hydro_traj: Trajectory
     no implementation of the line formula can reproduce.  Early snapshots
     keep the seam quiet while still exercising genuinely evolved data.
     """
-    if not cfg.diagnostics.y0_list or len(traj.times) < 4:
+    if not cfg.diagnostics.y0_list or len(times) < 4:
         return 0.0
     nu = speed_gaps(cfg.solitons.speeds).nu
     dt_fd = min(cfg.integrator.dt, 1e-4)
     worst = 0.0
     for i in (1, 2, 3):
-        t = float(traj.times[i])
-        snap = traj.states[i]
-        plus = step_rk4(snap, dt_fd)
-        minus = step_rk4(snap, -dt_fd)
-        if not isinstance(plus, HydroState):
-            plus = extract_hydro(plus)
-            minus = extract_hydro(minus)
+        t = float(times[i])
+        snap = states[i]
+        here = as_hydro(snap)
+        plus = as_hydro(step_rk4(snap, dt_fd))
+        minus = as_hydro(step_rk4(snap, -dt_fd))
         for label in paths:
             b0 = float(paths[label][i])
             gam = float(rates[label][i])
+            # b0 + gam (s - t) at s = t +- dt_fd; gam * dt_fd rounds differently
+            b_plus = b0 + gam * ((t + dt_fd) - t)
+            b_minus = b0 + gam * ((t - dt_fd) - t)
             for y0 in cfg.diagnostics.y0_list:
-                spec = LocalizedMomentumSpec(
-                    center_path=lambda s, b0=b0, gam=gam, t0=t: b0 + gam * (s - t0),
-                    y0=y0, nu=nu)
-                formula = localized_momentum_rate(hydro_traj.states[i], spec, t,
-                                                  center_speed=gam)
-                fd = (localized_momentum(plus, spec, t + dt_fd)
-                      - localized_momentum(minus, spec, t - dt_fd)) / (2.0 * dt_fd)
+                formula = localized_momentum_rate(here, b0 + y0, nu, center_speed=gam)
+                fd = (localized_momentum(plus, b_plus + y0, nu)
+                      - localized_momentum(minus, b_minus + y0, nu)) / (2.0 * dt_fd)
                 worst = max(worst, abs(fd - formula))
     return worst
 
@@ -580,20 +568,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         error = f"dynamics: {traj.error}"
 
     t0 = time.perf_counter()
-    hydro_traj = _hydro_view(traj)
-    track: Optional[ModulationTrack] = track_modulation(hydro_traj, cfg.solitons)
+    track: Optional[ModulationTrack] = track_modulation(traj, cfg.solitons)
     if track.error is not None:
         error = error or f"modulation: {track.error}"
-        cut = len(track.times)
-        if cut < 2:  # rate estimates need at least two tracked snapshots
+        if len(track.times) < 2:  # rate estimates need at least two tracked snapshots
             track = None
-        else:
-            hydro_traj = Trajectory(frame="hydro", grid=hydro_traj.grid,
-                                    times=hydro_traj.times[:cut],
-                                    states=hydro_traj.states[:cut])
-            traj = Trajectory(frame=traj.frame, grid=traj.grid,
-                              times=traj.times[:cut], states=traj.states[:cut],
-                              error=traj.error)
     timings["track"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -601,9 +580,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     rate_fd_err: Optional[float] = None
     if track is not None:
         paths, rates = _paths(cfg, track)
-        samples = _collect_samples(cfg, hydro_traj, paths)
+        # the track's rows are the snapshots the diagnostics cover
+        samples = _collect_samples(cfg, track.times, traj.states, paths)
         if cfg.diagnostics.y0_list and len(track.times) >= 2:
-            rate_fd_err = _rate_fd_check(cfg, traj, hydro_traj, track, paths, rates)
+            rate_fd_err = _rate_fd_check(cfg, track.times, traj.states, paths, rates)
     timings["diagnostics"] = time.perf_counter() - t0
 
     verdicts = _build_verdicts(cfg, samples, track, rate_fd_err)

@@ -31,6 +31,7 @@ from .grid import (
     HydroState,
     SpinState,
     VacuumBreakdown,
+    _check_vacuum,
     antiderivative_array,
     complex_deriv_array,
     integrate,
@@ -317,8 +318,7 @@ def reconstruct_spin(state: HydroState, theta0: float = 0.0) -> SpinState:
     grid = state.grid
     v = state.v.values
     w = state.w.values
-    if float(np.min(1.0 - v * v)) < VACUUM_GUARD:
-        raise VacuumBreakdown("1 - v^2 fell below the vacuum guard; no phase lift exists")
+    _check_vacuum(1.0 - v * v)
 
     total = integrate(w, grid)
     n_half = int(round(total / math.pi))
@@ -367,6 +367,16 @@ def extract_hydro(state: SpinState) -> HydroState:
     dmc = complex_deriv_array(mc, state.grid, 1, state.phase_sector)
     w = np.imag(np.conj(mc) * dmc) / rho2
     return HydroState.from_arrays(state.grid, state.m[:, 2], w)
+
+
+def as_hydro(state) -> HydroState:
+    """The hydrodynamic view of a state of either frame: a HydroState as it
+    is, a SpinState through :func:`extract_hydro`."""
+    if isinstance(state, HydroState):
+        return state
+    if isinstance(state, SpinState):
+        return extract_hydro(state)
+    raise TypeError(f"expected a HydroState or a SpinState, got {type(state).__name__}")
 
 
 def traveling_wave_residual(state: SpinState, c: float) -> float:

@@ -91,13 +91,12 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
 
     pert_obj = _expect_object(top["perturbation"], f"{path}.perturbation",
                               required=("kind",),
-                              optional=("amplitude", "seed", "index", "width"))
+                              optional=("amplitude", "seed", "index"))
     perturbation = Perturbation(
         kind=_string(pert_obj["kind"], f"{path}.perturbation.kind"),
         amplitude=_real(pert_obj.get("amplitude", 0.0), f"{path}.perturbation.amplitude"),
         seed=_integer(pert_obj.get("seed", 0), f"{path}.perturbation.seed"),
-        index=_integer(pert_obj.get("index", 0), f"{path}.perturbation.index"),
-        width=_real(pert_obj.get("width", 5.0), f"{path}.perturbation.width"))
+        index=_integer(pert_obj.get("index", 0), f"{path}.perturbation.index"))
 
     grid_obj = _expect_object(top["grid"], f"{path}.grid",
                               required=("n", "dx"), optional=("x_min",))

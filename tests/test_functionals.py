@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ll_lab import (DiagnosticsSample, Grid, HydroState, IntegratorConfig,
-                    LocalizedMomentumSpec, SeamSupportWarning, diagnostics_to_csv,
+                    SeamSupportWarning, diagnostics_to_csv,
                     energy_hydro, energy_spin, evolve, extract_hydro, integrate,
                     localized_momentum, localized_momentum_rate, momentum,
                     multi_soliton_sum, phi_bump, phi_bump_d1, phi_bump_d3,
@@ -102,20 +102,22 @@ class TestLocalizedMomentum:
         self.grid = Grid(n=2048, dx=0.1, x_min=-102.4)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LocalizedMomentumSpec(lambda t: 0.0, y0=5.0, nu=0.0)
-        with pytest.raises(ValueError):
-            LocalizedMomentumSpec(lambda t: 0.0, y0=math.inf, nu=0.5)
-        with pytest.raises(TypeError):
-            LocalizedMomentumSpec(3.0, y0=5.0, nu=0.5)
+        state = soliton_state(0.6, self.grid)
+        with pytest.raises(ValueError, match="nu"):
+            localized_momentum(state, 5.0, 0.0)
+        with pytest.raises(ValueError, match="nu"):
+            localized_momentum_rate(state, 5.0, 1.5, center_speed=0.0)
+        for center in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="center"):
+                localized_momentum(state, center, 0.5)
+            with pytest.raises(ValueError, match="center"):
+                localized_momentum_rate(state, center, 0.5, center_speed=0.0)
 
     def test_step_far_right_recovers_zero_and_far_left_total(self):
         state = soliton_state(0.6, self.grid)
-        spec_right = LocalizedMomentumSpec(lambda t: 0.0, y0=80.0, nu=0.8)
-        spec_left = LocalizedMomentumSpec(lambda t: 0.0, y0=-80.0, nu=0.8)
         p_total = momentum(state)
-        assert abs(localized_momentum(state, spec_right, 0.0)) < 1e-3 * abs(p_total)
-        assert localized_momentum(state, spec_left, 0.0) == pytest.approx(
+        assert abs(localized_momentum(state, 80.0, 0.8)) < 1e-3 * abs(p_total)
+        assert localized_momentum(state, -80.0, 0.8) == pytest.approx(
             p_total, rel=1e-3)
 
     def test_comoving_rate_vanishes_on_traveling_wave(self):
@@ -125,8 +127,7 @@ class TestLocalizedMomentum:
             nu = math.sqrt(1.0 - c * c)
             state = soliton_state(c, self.grid)
             for y0 in (5.0, -10.0):
-                spec = LocalizedMomentumSpec(lambda t: c * t, y0=y0, nu=nu)
-                rate = localized_momentum_rate(state, spec, 0.0, center_speed=c)
+                rate = localized_momentum_rate(state, y0, nu, center_speed=c)
                 assert abs(rate) < 1e-12, f"c={c}, y0={y0}"
 
     def test_rate_matches_finite_difference_along_flow(self):
@@ -139,14 +140,16 @@ class TestLocalizedMomentum:
                                        state.w.values + dw)
         dt = 1e-3
         traj = evolve(state, IntegratorConfig(dt=dt, t_end=0.02, sample_stride=1))
-        spec = LocalizedMomentumSpec(lambda t: 0.5 * t, y0=5.0, nu=0.8)
         k = 10
-        t_mid = traj.times[k]
-        i_plus = localized_momentum(traj.states[k + 1], spec, traj.times[k + 1])
-        i_minus = localized_momentum(traj.states[k - 1], spec, traj.times[k - 1])
+
+        def center(i):  # the step rides b(t) = 0.5 t, offset by y0 = 5
+            return 0.5 * traj.times[i] + 5.0
+
+        i_plus = localized_momentum(traj.states[k + 1], center(k + 1), 0.8)
+        i_minus = localized_momentum(traj.states[k - 1], center(k - 1), 0.8)
         fd = (i_plus - i_minus) / (2.0 * dt)
-        i_mid = localized_momentum(traj.states[k], spec, t_mid)
-        rate = localized_momentum_rate(traj.states[k], spec, t_mid, center_speed=0.5)
+        i_mid = localized_momentum(traj.states[k], center(k), 0.8)
+        rate = localized_momentum_rate(traj.states[k], center(k), 0.8, center_speed=0.5)
         assert abs(fd - rate) <= 1e-6 * (1.0 + abs(i_mid))
 
 
@@ -210,10 +213,10 @@ class TestDiagnosticsCsv:
         win = {"between": 0.001953125}
         return [
             DiagnosticsSample(t=0.0, energy=1.6, momentum=0.5, virial=0.01,
-                              localized=loc, window_norms=win),
+                              localized=loc, window_norms=win, seam=0.0),
             DiagnosticsSample(t=0.1, energy=1.6 + 1e-16, momentum=0.5, virial=0.02,
                               localized={("a1", 5.0): 1.0 / 3.0, ("a1", 10.0): 0.1},
-                              window_norms={"between": 0.002}),
+                              window_norms={"between": 0.002}, seam=1e-12),
         ]
 
     def test_header_and_roundtrip(self, tmp_path):
@@ -221,7 +224,8 @@ class TestDiagnosticsCsv:
         diagnostics_to_csv(self._samples(), path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["t", "E", "P", "U", "I_a1_y+5", "I_a1_y+10", "win_between"]
+        assert rows[0] == ["t", "E", "P", "U", "I_a1_y+5", "I_a1_y+10", "win_between",
+                           "seam"]
         assert len(rows) == 3
         # 17 significant digits round-trip doubles exactly
         assert float(rows[2][4]) == 1.0 / 3.0

@@ -1,6 +1,7 @@
 """Scenario configs, perturbation construction, and the run pipeline."""
 
 import copy
+import csv
 import importlib.util
 import json
 import math
@@ -92,6 +93,8 @@ MALFORMED = [
     ({"solitons__params": [{"c": 0.1, "a": 0.0}, {"c": 0.2, "a": 0.5}],
       "solitons__min_separation": 0.5},
      "config.solitons: soliton sum on the grid: non-vacuum constraint violated"),
+    # the between_bump width is a constant, not a key
+    ({"perturbation__width": 5.0}, "perturbation.width: unknown key"),
 ]
 
 
@@ -469,6 +472,31 @@ class TestRunScenario:
         payload = json.loads((out / "report.json").read_text())
         assert payload["error"] is not None
         assert payload["scenario"] == "doomed"
+
+    def test_lost_track_cuts_the_diagnostics(self, tmp_path):
+        """A track lost mid-run keeps its rows; the diagnostics cover exactly
+        those rows and the rate check still runs on the early ones."""
+        data = variant(
+            name="lost",
+            frame="spin",
+            solitons__params=[{"c": 0.3, "a": 0.0}],
+            perturbation__kind="chi_direction",
+            perturbation__amplitude=0.4,
+            integrator__t_end=3.0,
+            integrator__sample_stride=50,
+            diagnostics__window_half_width=5.0)
+        report = run_scenario(scenario_from_dict(data))
+        assert report.error.startswith("modulation: at t = 2.65: no convergence"), report.error
+        assert "rate_fd_match" in {v.name for v in report.verdicts}
+        out = write_report(report, tmp_path)
+        columns = {}
+        for name in ("diagnostics.csv", "modulation.csv"):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][0] == "t"
+            columns[name] = [row[0] for row in rows[1:]]
+        assert len(columns["diagnostics.csv"]) == 53
+        assert columns["diagnostics.csv"] == columns["modulation.csv"]
 
     def test_write_report_layout(self, tmp_path):
         report = run_scenario(scenario_from_dict(BASE))
