@@ -4,7 +4,7 @@ trajectories, the monotonicity and virial audits, and soliton tables.
 Every subcommand but ``soliton-table`` records its run as one
 :class:`~ll_lab.scenarios.RunReport` and writes it with ``write_report`` to
 ``<out>/<name>/report.json`` (keys scenario, config, verdicts, timings,
-counters, chi_nodes, error).  Exit codes:
+counters, chi_nodes, threads, error).  Exit codes:
 
 - ``simulate``: 0 when every scenario passes every verdict; 1 when any
   scenario fails a verdict or stops on a runtime failure (dynamics

@@ -16,28 +16,28 @@ function of c alone: :class:`ChiCache` knows it at the nodes c_k = k h of a
 fixed speed lattice and interpolates linearly within the cell that holds
 c.  With S(h1, h2) = (h1, -h2), Q_{-c} = S Q_c and H_{-c} = S H_c S exactly,
 so chi_{-c} = S chi_c: a Davidson solve is made once per |c_k|, at the
-positive node, and the negative node is its mirror image.  Each Newton
-point is evaluated in two passes over all N solitons at once.  The
-residual pass, run at the start and at every trial point, builds
-(Q_j, Q_j') from one cosh and one tanh over (N, n), eps, chi_j from one
-inverse transform of the 2N translated chi rows (their phase ramps are
-products of two short exp tables), and F from the 2N pairings with eps.
-The Jacobian pass, run only at a point the iteration steps from, adds the
-exact Jacobian: eps moves by d eps/d a_k = s_k Q_k' and
-d eps/d c_k = -s_k dQ_k/dc; the translation rows add
-s_j <eps, dQ_j'/dc> in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows
-add s_j <eps, d chi_j/dc> in c_j (the slope of the cell) and
--s_j <eps, chi_j'> in a_j (see :func:`_modulate_raw`).  Its profile
-derivatives come from the closed-form jet ``soliton_hydro_jet``, and the
-pairings of eps with chi_j' and d chi_j/dc are taken in Fourier space by
-Parseval, from one rfft of eps against their 4N spectra, so no inverse
-transform is made.  The cross terms pair Q_k' and dQ_k/dc with the
-physical chi_j of the residual pass.  A converged point, and a
-rejected line-search trial, never builds a Jacobian.
+positive node, and the negative node is its mirror image.  Each point is
+evaluated by one residual pass over all N solitons at once: (Q_j, Q_j')
+from one cosh and one tanh over (N, n), eps, and F from the N pairings of
+eps with Q_j' and, by Parseval, the 2N pairings of one rfft of eps with
+the translated chi spectra (their phase ramps are products of two short
+exp tables), so no inverse transform is made.
+The iteration steps with a Jacobian carried from step to step and kept
+current by Broyden's rank-one update; a step with it is accepted when it
+cuts max|F| by JACOBIAN_CONTRACTION.  Otherwise the exact Jacobian is built
+at the point (see :func:`_modulate_raw`): eps moves by d eps/d a_k = s_k Q_k'
+and d eps/d c_k = -s_k dQ_k/dc; the translation rows add s_j <eps, dQ_j'/dc>
+in c_j and -s_j <eps, Q_j''> in a_j, and the chi rows add
+s_j <eps, d chi_j/dc> in c_j (the slope of the cell) and -s_j <eps, chi_j'>
+in a_j.  Its profile derivatives come from the closed-form jet
+``soliton_hydro_jet``, the pairings of eps with chi_j' and d chi_j/dc reuse
+the residual pass's rfft of eps, and the cross terms pair Q_k' and dQ_k/dc
+with the physical chi_j of one inverse transform of the 2N chi rows.
 ``track_modulation`` runs this along a trajectory, starting each snapshot
-from the previous speeds and from the previous centers advanced by c_j dt;
-the snapshot where the decomposition is lost ends the track and is recorded
-on ``ModulationTrack.error``.
+from the previous speeds and from the previous centers advanced by c_j dt,
+with the Jacobian the previous snapshot ended on, so that exact builds are
+rare; the snapshot where the decomposition is lost ends the track and is
+recorded on ``ModulationTrack.error``.
 """
 from __future__ import annotations
 
@@ -444,20 +444,28 @@ SPEED_MARGIN = 1e-3
 """Newton iterates keep SPEED_MARGIN < |c_j| < 1 - SPEED_MARGIN; a point
 outside fails the speed guard of :func:`_guarded_sum`."""
 
+JACOBIAN_CONTRACTION = 1e-2
+"""A step with the carried Jacobian is accepted when its trial point has
+max|F| at most JACOBIAN_CONTRACTION times that of the current point;
+otherwise the exact Jacobian is built there (:func:`_modulate_raw`)."""
+
 
 @dataclass(frozen=True, eq=False)
 class ModulationResult:
     """Decomposition s = sum_j s_j Q_{c_j}(. - a_j) + eps with eps orthogonal
     to the translation modes and negative directions of every soliton.
 
+    ``newton_iters`` counts the accepted steps, each of which updates the
+    Jacobian, and ``jacobian_builds`` the exact Jacobians built on the way.
     ``condition_evals`` counts the residual passes, evaluations of the
-    conditions (one at the starting point and one per Newton trial point,
-    each looking up chi once per soliton); the Jacobian pass runs once per
-    Newton step, so ``newton_iters`` counts those.  ``backtracks`` counts
-    the step halvings of the line search.  A trial point that fails the
-    speed guard ends its residual pass early and counts as a backtrack but
-    not as an evaluation, so ``condition_evals <= newton_iters + 1 +
-    backtracks``, with equality when every trial point is admissible.
+    conditions (one at the starting point and one per trial point, each
+    looking up chi once per soliton).  ``backtracks`` counts the refused
+    trial points: the step halvings of the line search, and each step with
+    the carried Jacobian that fell short of JACOBIAN_CONTRACTION or whose
+    solve was singular.  A trial point that fails the speed guard ends its
+    residual pass early and counts as a backtrack but not as an evaluation,
+    as does a singular carried solve, so ``condition_evals <= newton_iters
+    + 1 + backtracks``, with equality when every trial point is admissible.
     """
 
     speeds: np.ndarray
@@ -469,6 +477,7 @@ class ModulationResult:
     newton_iters: int
     condition_evals: int
     backtracks: int
+    jacobian_builds: int
 
 
 def _guarded_sum(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, ProfileJet]:
@@ -510,15 +519,15 @@ class _Point(NamedTuple):
     ramp: np.ndarray         # (N, n//2 + 1) phase ramps translating to a_j
     ramped: np.ndarray       # (N, 2, n//2 + 1) chi_j spectra, translated
     slopes: np.ndarray       # (N, 2, n//2 + 1) d chi_j/dc spectra at the center
-    fields: np.ndarray       # (N, 2, 2, n): Q_j', chi_j
+    eps_hat: np.ndarray      # rfft of eps times the Parseval weights, as floats
 
 
 def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarray,
               chi: ChiCache) -> tuple[np.ndarray, np.ndarray, _Point]:
     """The conditions F and eps at p = params for the state (v, w) given as
     a (2, n) array, with the :class:`_Point` that :func:`_jacobian` needs.
-    Q and Q' come from one cosh and one tanh over (N, n), chi_j from one
-    inverse transform of the 2N translated chi rows."""
+    Q and Q' come from one cosh and one tanh over (N, n); eps is paired with
+    the translated chi_j by Parseval, from one 2-row rfft of eps."""
     nsol = len(signs)
     speeds = params[:nsol]
     centers = params[nsol:]
@@ -527,34 +536,37 @@ def _residual(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarr
     modes = [chi.mode_for(c) for c in speeds]
     ramp = _phase_ramps(grid, centers - chi.center)
     ramped = ramp[:, None, :] * np.stack([hat for hat, _ in modes])
-    fields = np.empty((nsol, 2, 2, grid.n))
-    fields[:, 0] = jet.dx
-    fields[:, 1] = np.fft.irfft(ramped, n=grid.n)
-    f = (fields.reshape(2 * nsol, -1) @ eps.reshape(-1)) * (grid.dx * np.repeat(signs, 2))
-    return f, eps, _Point(jet, ramp, ramped, np.stack([slope for _, slope in modes]), fields)
+    # Re sum_k w_k conj(eps^_k) chi^_k is the dot product of the
+    # interleaved real and imaginary parts
+    eps_hat = (np.fft.rfft(eps) * grid.rfft_pairing).reshape(-1).view(float)
+    f = np.empty(2 * nsol)
+    f[0::2] = (jet.dx.reshape(nsol, -1) @ eps.reshape(-1)) * (grid.dx * signs)
+    f[1::2] = (ramped.reshape(nsol, -1).view(float) @ eps_hat) * signs
+    return f, eps, _Point(jet, ramp, ramped, np.stack([slope for _, slope in modes]), eps_hat)
 
 
 def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> np.ndarray:
     """The exact Jacobian of the conditions (formulas in
     :func:`_modulate_raw`) at the point of a residual pass that left eps:
-    dQ'/dc, Q'' and dQ/dc from the jet, and the pairings of eps with
-    (chi_j', d chi_j/dc) by Parseval, from one rfft of eps against the 4N
-    spectra, with no inverse transform."""
+    dQ'/dc, Q'' and dQ/dc from the jet, the pairings of eps with
+    (chi_j', d chi_j/dc) by Parseval against the pass's rfft of eps, and
+    the physical chi_j of the cross terms from one inverse transform."""
     nsol = len(signs)
     jet = point.jet
     rows = np.concatenate([grid.ik * point.ramped, point.ramp[:, None, :] * point.slopes], axis=1)
     eps_flat = eps.reshape(-1)
-    eps_hat = (np.fft.rfft(eps) * grid.rfft_pairing).reshape(-1).view(float)
     weight = grid.dx * signs
     # s_j <eps, .> of dQ_j'/dc, Q_j'', chi_j', d chi_j/dc; the last two by
-    # Parseval, where Re sum_k w_k conj(eps^_k) row_k is the dot product of
-    # the interleaved real and imaginary parts
+    # Parseval, as the chi pairings of the residual pass
     dcdx = (jet.dcdx.reshape(nsol, -1) @ eps_flat) * weight
     dxx = (jet.dxx.reshape(nsol, -1) @ eps_flat) * weight
-    dchi = (rows.reshape(nsol, 2, -1).view(float) @ eps_hat) * signs[:, None]
-    # d eps/d c_k, d eps/d a_k
+    dchi = (rows.reshape(nsol, 2, -1).view(float) @ point.eps_hat) * signs[:, None]
+    # the rows Q_j', chi_j against the columns d eps/d c_k, d eps/d a_k
+    fields = np.empty((nsol, 2, 2, grid.n))
+    fields[:, 0] = jet.dx
+    fields[:, 1] = np.fft.irfft(point.ramped, n=grid.n)
     cols = np.concatenate([-signs[:, None, None] * jet.dc, signs[:, None, None] * jet.dx])
-    jac = (point.fields.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
+    jac = (fields.reshape(2 * nsol, -1) @ cols.reshape(2 * nsol, -1).T) * grid.dx
     jac *= np.repeat(signs, 2)[:, None]
     j = np.arange(nsol)
     jac[2 * j, j] += dcdx
@@ -566,22 +578,36 @@ def _jacobian(point: _Point, eps: np.ndarray, grid: Grid, signs: np.ndarray) -> 
 
 def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
                   speeds0: np.ndarray, centers0: np.ndarray, signs: np.ndarray,
-                  chi: ChiCache) -> ModulationResult:
+                  chi: ChiCache, jacobian: Optional[np.ndarray] = None
+                  ) -> tuple[ModulationResult, Optional[np.ndarray]]:
     """Newton iteration on the 2N conditions, p = (c_1..c_N, a_1..a_N),
 
         F_2j = s_j <eps, Q_j'>,   F_2j+1 = s_j <eps, chi_j>,
         eps = s - sum_k s_k Q_k,  Q_k = Q_{c_k}(. - a_k),
 
     with chi_j the lattice interpolant of chi_{c_j} translated to a_j.  The
-    start and every trial point are one residual pass (:func:`_residual`);
-    the exact Jacobian (:func:`_jacobian`) is built only at a point the
-    iteration steps from: with d eps/d a_k = s_k Q_k' and
-    d eps/d c_k = -s_k dQ_k/dc,
+    start and every trial point are one residual pass (:func:`_residual`).
+
+    A step first solves with the carried Jacobian J, which is ``jacobian``
+    at the start (None when there is none).  Its trial point is accepted
+    when it cuts max|F| by JACOBIAN_CONTRACTION.  Otherwise, or when J is
+    singular, the trial is refused (a backtrack) and the exact Jacobian
+    (:func:`_jacobian`) is built at the current point, with
+    d eps/d a_k = s_k Q_k' and d eps/d c_k = -s_k dQ_k/dc,
 
         dF_2j/dc_k   = -s_j s_k <dQ_k/dc, Q_j'> + [k = j] s_j <eps, dQ_j'/dc>,
         dF_2j/da_k   =  s_j s_k <Q_k', Q_j'>    - [k = j] s_j <eps, Q_j''>,
         dF_2j+1/dc_k = -s_j s_k <dQ_k/dc, chi_j> + [k = j] s_j <eps, d chi_j/dc>,
-        dF_2j+1/da_k =  s_j s_k <Q_k', chi_j>   - [k = j] s_j <eps, chi_j'>.
+        dF_2j+1/da_k =  s_j s_k <Q_k', chi_j>   - [k = j] s_j <eps, chi_j'>,
+
+    and its step is damped by the backtracking line search.  J is carried
+    only while the iteration contracts: a step after one that cut max|F| by
+    less than JACOBIAN_CONTRACTION, and the first step without a given
+    ``jacobian``, build the exact Jacobian at once.  Every accepted
+    step dp, with dF the change of F, updates J by Broyden's rank-one
+    formula J += (dF - J dp) dp^T / (dp^T dp) (C. G. Broyden, Math. Comp.
+    19 (1965) 577).  Returns the result and the last J, to be carried to
+    the next decomposition.
     """
     nsol = len(speeds0)
     state = np.stack([sv, sw])
@@ -593,45 +619,69 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
         evals += 1
         return out
 
+    jac = jacobian
+    # after a step slower than JACOBIAN_CONTRACTION a carried trial would
+    # be wasted, so the exact Jacobian is built at once
+    carry = jac is not None
     p = np.concatenate([speeds0, centers0]).astype(float)
     f, eps, point = residual(p)
+    fmax = np.max(np.abs(f))
     iters = 0
     backtracks = 0
+    builds = 0
     # drive the conditions to an absolute 1e-10, the floor of every
-    # normalized tolerance below; Newton squares the error per step, so
-    # this costs at most one iteration beyond the stated criterion
-    while np.max(np.abs(f)) > 1e-10 and iters < MAX_NEWTON_ITERS:
-        try:
-            step = np.linalg.solve(_jacobian(point, eps, grid, signs), f)
-        except np.linalg.LinAlgError as exc:
-            raise ModulationError(f"no convergence: singular Jacobian ({exc})") from exc
-        # backtracking: a full step that reduces max|f| is accepted as-is
-        # (the warm-started regime), otherwise halve until it does or the
-        # damping floor is reached; trial points outside the admissible
-        # speed region count as non-reducing
-        fmax = np.max(np.abs(f))
+    # normalized tolerance below; near the solution a step cuts max|F| by
+    # JACOBIAN_CONTRACTION or more, so this costs at most one iteration
+    # beyond the stated criterion
+    while fmax > 1e-10 and iters < MAX_NEWTON_ITERS:
+        trial = None
         scale = 1.0
-        while True:
+        if carry:
             try:
-                trial = residual(p - scale * step)
-            except ModulationError:
+                step = np.linalg.solve(jac, f)
+                trial = residual(p - step)
+            except (np.linalg.LinAlgError, ModulationError):
+                pass
+            if trial is None or np.max(np.abs(trial[0])) > JACOBIAN_CONTRACTION * fmax:
                 trial = None
-            if trial is not None and (np.max(np.abs(trial[0])) < fmax
-                                      or scale <= 1.0 / 256.0):
-                break
-            if scale <= 1.0 / 256.0:
-                # even the floor-damped point is inadmissible; surface the
-                # guard failure of the undamped step
-                full = p - step
-                _guarded_sum(full[:nsol], full[nsol:], signs, grid)
-                raise ModulationError("no convergence: damping floor reached")
-            scale *= 0.5
-            backtracks += 1
-        p = p - scale * step
+                backtracks += 1
+        if trial is None:
+            jac = _jacobian(point, eps, grid, signs)
+            builds += 1
+            try:
+                step = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError as exc:
+                raise ModulationError(f"no convergence: singular Jacobian ({exc})") from exc
+            # backtracking: a full step that reduces max|f| is accepted
+            # as-is, otherwise halve until it does or the damping floor is
+            # reached; trial points outside the admissible speed region count
+            # as non-reducing
+            while True:
+                try:
+                    trial = residual(p - scale * step)
+                except ModulationError:
+                    trial = None
+                if trial is not None and (np.max(np.abs(trial[0])) < fmax
+                                          or scale <= 1.0 / 256.0):
+                    break
+                if scale <= 1.0 / 256.0:
+                    # even the floor-damped point is inadmissible; surface
+                    # the guard failure of the undamped step
+                    full = p - step
+                    _guarded_sum(full[:nsol], full[nsol:], signs, grid)
+                    raise ModulationError("no convergence: damping floor reached")
+                scale *= 0.5
+                backtracks += 1
+        dp = -scale * step
+        jac = jac + np.outer(trial[0] - f - jac @ dp, dp / (dp @ dp))
+        p = p + dp
         f, eps, point = trial
+        fmax_new = np.max(np.abs(f))
+        carry = fmax_new <= JACOBIAN_CONTRACTION * fmax
+        fmax = fmax_new
         iters += 1
 
-    ortho = float(np.max(np.abs(f)))
+    ortho = float(fmax)
     # both tolerances are at least 1e-10, so the X-norm of the state is
     # needed only when the loop stopped above that floor
     if ortho > 1e-10 and ortho > 1e-10 * (1.0 + x_norm_arrays(sv, sw, grid)):
@@ -642,26 +692,29 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
     if ortho > 1e-10 * (1.0 + eps_norm):
         raise ModulationError(
             f"no convergence: orthogonality residual {ortho:.3e} after {iters} iterations")
-    return ModulationResult(speeds=p[:nsol].copy(), centers=p[nsol:].copy(),
-                            signs=np.array(signs, dtype=int), epsilon=epsilon,
-                            residual_norm=eps_norm, orthogonality=ortho,
-                            newton_iters=iters, condition_evals=evals,
-                            backtracks=backtracks)
+    result = ModulationResult(speeds=p[:nsol].copy(), centers=p[nsol:].copy(),
+                              signs=np.array(signs, dtype=int), epsilon=epsilon,
+                              residual_norm=eps_norm, orthogonality=ortho,
+                              newton_iters=iters, condition_evals=evals,
+                              backtracks=backtracks, jacobian_builds=builds)
+    return result, jac
 
 
 def modulate(state: HydroState, guess: MultiSolitonConfig,
              chi: Optional[ChiCache] = None) -> ModulationResult:
     """Solve the orthogonality conditions for (c_j, a_j) by Newton iteration
-    starting from the guess configuration, in at most MAX_NEWTON_ITERS steps.
+    starting from the guess configuration, in at most MAX_NEWTON_ITERS steps;
+    the first step builds the exact Jacobian.
 
     Raises :class:`ModulationError` with reason "no convergence", "ordering
     lost", or "speed out of range".
     """
     if chi is None:
         chi = ChiCache(state.grid)
-    return _modulate_raw(state.v.values, state.w.values, state.grid,
-                         guess.speeds, guess.centers, guess.signs.astype(float),
-                         chi)
+    result, _ = _modulate_raw(state.v.values, state.w.values, state.grid,
+                              guess.speeds, guess.centers, guess.signs.astype(float),
+                              chi)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +728,9 @@ class ModulationTrack:
 
     ``error`` is None when every snapshot was decomposed, otherwise the
     reason the decomposition was lost at the first snapshot that failed;
-    the rows stop just before that snapshot.  ``condition_evals`` and
-    ``backtracks`` total the counts of the decomposed snapshots, and
+    the rows stop just before that snapshot.  ``condition_evals``,
+    ``backtracks`` and ``jacobian_builds`` total the counts of the
+    decomposed snapshots (see :class:`ModulationResult`), and
     ``chi_nodes`` lists the negative-mode solves of the whole track by node
     speed, each with its Rayleigh quotient, its eigen-residual and its
     Davidson iterations: one per |c_k| the track visits, at the positive
@@ -693,6 +747,7 @@ class ModulationTrack:
     error: Optional[str] = None
     condition_evals: int = 0
     backtracks: int = 0
+    jacobian_builds: int = 0
     chi_nodes: tuple[dict, ...] = ()
 
     @property
@@ -703,6 +758,7 @@ class ModulationTrack:
     def counters(self) -> dict[str, int]:
         """The deterministic work counts of the track, for the run report."""
         return {"newton_iters": int(np.sum(self.newton_iters)),
+                "jacobian_builds": self.jacobian_builds,
                 "condition_evals": self.condition_evals,
                 "backtracks": self.backtracks,
                 "chi_solves": len(self.chi_nodes),
@@ -720,7 +776,9 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     """Run the Newton decomposition at every snapshot, sharing one
     :class:`ChiCache`.  Each solve after the first starts from a predictor:
     the previous speeds c_j and the previous centers advanced by c_j times
-    the time step between the snapshots.
+    the time step between the snapshots, and from the Jacobian the previous
+    solve ended on, so that the exact Jacobian is built only where a
+    carried step falls short (:func:`_modulate_raw`).
 
     Tracking stops at the first snapshot that cannot be decomposed (a
     :class:`ModulationError`, or a :class:`VacuumBreakdown` of the snapshot
@@ -742,6 +800,8 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     done = len(traj)
     evals = 0
     backtracks = 0
+    builds = 0
+    jac = None
 
     warm_speeds = np.array(guess.speeds, dtype=float)
     warm_centers = np.array(guess.centers, dtype=float)
@@ -751,8 +811,8 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
             warm_centers = warm_centers + warm_speeds * (times[i] - times[i - 1])
         try:
             hydro = as_hydro(snap)
-            result = _modulate_raw(hydro.v.values, hydro.w.values, grid,
-                                   warm_speeds, warm_centers, signs_f, cache)
+            result, jac = _modulate_raw(hydro.v.values, hydro.w.values, grid,
+                                        warm_speeds, warm_centers, signs_f, cache, jac)
         except (ModulationError, VacuumBreakdown) as exc:
             error = f"at t = {times[i]:.6g}: {exc}"
             done = i
@@ -764,6 +824,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
         iters[i] = result.newton_iters
         evals += result.condition_evals
         backtracks += result.backtracks
+        builds += result.jacobian_builds
         warm_speeds = result.speeds
         warm_centers = result.centers
     return ModulationTrack(times=times[:done], speeds=speeds[:done],
@@ -771,6 +832,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
                            newton_iters=iters[:done], error=error,
                            condition_evals=evals, backtracks=backtracks,
+                           jacobian_builds=builds,
                            chi_nodes=tuple({"c": mode.c, "rayleigh": mode.rayleigh,
                                             "residual": mode.residual,
                                             "iterations": mode.iterations}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -348,6 +349,11 @@ class Verdict:
                 "measured": float(self.measured), "threshold": float(self.threshold)}
 
 
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+"""The environment variables that set the OpenMP and BLAS thread counts;
+``ll-lab`` leaves them as it finds them and records them in every report."""
+
+
 @dataclass(frozen=True)
 class RunReport:
     """The record of one run of any subcommand, written by ``write_report``.
@@ -356,7 +362,8 @@ class RunReport:
     as JSON, and ``samples`` and ``track`` feed diagnostics.csv and
     modulation.csv when the run has them; the track's work counts are the
     report's ``counters`` and its negative-mode solves its ``chi_nodes``,
-    both empty for a run without a track.
+    both empty for a run without a track.  ``threads`` records each of
+    THREAD_VARIABLES as the process saw it, None when unset.
     """
 
     name: str
@@ -378,6 +385,7 @@ class RunReport:
                 "timings": dict(self.timings),
                 "counters": self.track.counters if self.track is not None else {},
                 "chi_nodes": list(self.track.chi_nodes) if self.track is not None else [],
+                "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES},
                 "error": self.error}
 
 

@@ -130,3 +130,23 @@ def _conditions(params: np.ndarray, state: np.ndarray, grid: Grid,
     jac[2 * j + 1, nsol + j] -= pairs[:, 4]
     jac[2 * j + 1, j] += pairs[:, 5]
     return f, jac, eps
+
+
+def exact_newton(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.ndarray,
+                 chi: ChiCache, iters: int = 8) -> np.ndarray:
+    """Plain Newton on the conditions with the exact Jacobian at every step
+    and no damping, from params until max|F| stops falling or reaches
+    1e-13: the decomposition a carried Jacobian approximates."""
+    from ll_lab.modulation import _jacobian, _residual
+
+    p = np.asarray(params, dtype=float)
+    f, eps, point = _residual(p, state, grid, signs, chi)
+    for _ in range(iters):
+        if np.max(np.abs(f)) <= 1e-13:
+            break
+        trial = p - np.linalg.solve(_jacobian(point, eps, grid, signs), f)
+        f_new, eps_new, point_new = _residual(trial, state, grid, signs, chi)
+        if np.max(np.abs(f_new)) >= np.max(np.abs(f)):
+            break
+        p, f, eps, point = trial, f_new, eps_new, point_new
+    return p

@@ -24,7 +24,7 @@ from ll_lab import (Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
 from ll_lab.cli import main
 
 REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "counters", "chi_nodes",
-               "error"}
+               "threads", "error"}
 
 TINY = {
     "name": "tiny",
@@ -276,8 +276,9 @@ class TestModulateTrack:
             counters.append(json.loads((out / "run" / "report.json").read_text())["counters"])
         assert counters[0] == counters[1]
         c = counters[0]
-        assert set(c) == {"newton_iters", "condition_evals", "backtracks", "chi_solves",
-                          "davidson_iters"}
+        assert set(c) == {"newton_iters", "jacobian_builds", "condition_evals", "backtracks",
+                          "chi_solves", "davidson_iters"}
+        assert c["jacobian_builds"] <= c["newton_iters"]
         assert c["condition_evals"] == c["newton_iters"] + len(traj) + c["backtracks"]
         assert c["chi_solves"] >= 1
         assert c["davidson_iters"] >= c["chi_solves"]
@@ -385,6 +386,31 @@ class TestVirialAudit:
     def test_bad_amplitude_exit_two(self, capsys):
         assert main(["virial-audit", "--amplitude", "-0.5", "--runs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "modulate-track", "virial-audit"])
+def test_report_records_thread_settings(tmp_path, monkeypatch, command):
+    """Every subcommand records the OpenMP and BLAS thread variables as the
+    run saw them under one key, null when unset, and does not change them."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv, name = ["simulate", str(write_config(tmp_path, TINY))], "tiny"
+    elif command == "modulate-track":
+        cli = TestModulateTrack()
+        argv = ["modulate-track", str(cli._trajectory_file(tmp_path)),
+                str(cli._guess_file(tmp_path))]
+        name = "run"
+    else:
+        argv, name = ["virial-audit", "--runs", "1", "--t-end", "0.1"], "virial-audit"
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads((out / name / "report.json").read_text())
+    assert payload["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+                                  "MKL_NUM_THREADS": None}
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_cli_import_leaves_scipy_unloaded():

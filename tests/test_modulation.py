@@ -5,6 +5,7 @@ period-102.4 grid at dx = 0.05; halving dx moves them by less than 1e-9,
 so they are grid-stable to the quoted digits.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -223,6 +224,30 @@ class TestGradEP:
             assert math.sqrt(integrate(r1 * r1 + r2 * r2, grid)) < 1e-8
 
 
+SPLICE_PAIR = MultiSolitonConfig((SolitonParams(-0.41, -15.0), SolitonParams(0.41, 15.0)),
+                                 min_separation=10.0)
+SPLICE_AT = 5
+
+
+@functools.lru_cache(maxsize=None)
+def spliced_pair() -> tuple[Grid, Trajectory]:
+    """The pair SPLICE_PAIR with a `random_smooth` perturbation (amplitude
+    0.01, seed 11), evolved to t = 1 and stored every 0.1; from snapshot
+    SPLICE_AT on, the snapshots come from the same evolution of another
+    perturbation (amplitude 0.05, seed 48).  The speeds stay inside one
+    chi lattice cell."""
+    grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+    base = multi_soliton_sum(SPLICE_PAIR, grid)
+    runs = []
+    for amplitude, seed in ((0.01, 11), (0.05, 48)):
+        dv, dw = random_smooth_pair(grid, amplitude=amplitude, seed=seed)
+        state = HydroState.from_arrays(grid, base.v.values + dv, base.w.values + dw)
+        runs.append(evolve(state, IntegratorConfig(dt=1e-3, t_end=1.0, sample_stride=100)))
+    first, second = runs
+    return grid, Trajectory(frame="hydro", grid=grid, times=first.times,
+                            states=first.states[:SPLICE_AT] + second.states[SPLICE_AT:])
+
+
 class TestModulate:
     def setup_method(self):
         self.grid = Grid(n=1024, dx=0.1, x_min=-51.2)
@@ -316,9 +341,11 @@ class TestModulate:
         assert result.condition_evals == result.newton_iters + 1
 
     @pytest.mark.parametrize("shift, dc, halved", [(0.3, 0.0, False), (0.4, 0.02, True)])
-    def test_one_jacobian_per_newton_step(self, monkeypatch, shift, dc, halved):
-        """The Jacobian is built only at the points the iteration steps
-        from: never at the converged point, never at a rejected trial."""
+    def test_jacobian_builds_counted(self, monkeypatch, shift, dc, halved):
+        """``jacobian_builds`` counts every exact Jacobian the iteration
+        builds, the first step of a cold start included, and every trial
+        point is one evaluation: condition_evals = newton_iters + 1 +
+        backtracks."""
         truth = MultiSolitonConfig((SolitonParams(-0.5 + dc, -15.0 + shift),
                                     SolitonParams(0.5 + dc, 15.0 + shift)), min_separation=30.0)
         state = multi_soliton_sum(truth, self.grid)
@@ -326,7 +353,32 @@ class TestModulate:
         result = modulate(state, self.cfg)
         assert result.newton_iters >= 2
         assert (result.backtracks > 0) == halved
-        assert len(jacobians) == result.newton_iters
+        assert 1 <= result.jacobian_builds == len(jacobians) <= result.newton_iters
+        assert result.condition_evals == result.newton_iters + 1 + result.backtracks
+
+    def test_returned_jacobian_meets_the_secant_condition(self, monkeypatch):
+        """The Jacobian handed on is Broyden-updated at the last step:
+        J (p_n - p_n-1) = F(p_n) - F(p_n-1), to the rounding of p_n - p_n-1
+        (|J| |p| 2.2e-16 is about 1e-14 here).  Without the update it would
+        miss by F(p_n) alone."""
+        truth = MultiSolitonConfig((SolitonParams(-0.5, -14.9),
+                                    SolitonParams(0.503, 15.1)), min_separation=10.0)
+        state = multi_soliton_sum(truth, self.grid)
+        points = []
+
+        def spy(params, *args):
+            out = _residual(params, *args)
+            points.append((params.copy(), out[0]))
+            return out
+
+        monkeypatch.setattr(modulation, "_residual", spy)
+        result, jac = modulation._modulate_raw(
+            state.v.values, state.w.values, self.grid, self.cfg.speeds, self.cfg.centers,
+            self.cfg.signs.astype(float), ChiCache(self.grid))
+        assert result.newton_iters >= 2 and result.backtracks == 0
+        (p_prev, f_prev), (p_last, f_last) = points[-2:]
+        secant = np.max(np.abs(jac @ (p_last - p_prev) - (f_last - f_prev)))
+        assert secant <= 1e-13 < np.max(np.abs(f_last))
 
     def test_inadmissible_trials_are_backtracks_not_evaluations(self):
         """From a guess 0.5 inside the pair, some line-search trial points
@@ -438,14 +490,58 @@ class TestTrackModulation:
         assert track.newton_iters[0] == 0
         assert np.max(track.eps_norms) < 1e-5
 
-    def test_one_jacobian_per_newton_step(self, monkeypatch):
-        traj, _ = self._tw_trajectory()
-        guess = MultiSolitonConfig((SolitonParams(0.503, 0.05),), min_separation=10.0)
+    def test_jacobian_builds_counted(self, monkeypatch):
+        """The track's ``jacobian_builds`` is the number of exact Jacobians
+        built, fewer than its Newton steps once the Jacobian is carried, and
+        condition_evals = newton_iters + snapshots + backtracks."""
+        traj = spliced_pair()[1]
         jacobians = count_jacobians(monkeypatch)
-        track = track_modulation(traj, guess)
+        track = track_modulation(traj, SPLICE_PAIR)
         assert track.error is None
-        assert np.sum(track.newton_iters) >= 2
-        assert len(jacobians) == np.sum(track.newton_iters)
+        counters = track.counters
+        assert counters["jacobian_builds"] == track.jacobian_builds == len(jacobians)
+        assert 1 <= len(jacobians) < counters["newton_iters"]
+        assert counters["condition_evals"] == (counters["newton_iters"] + len(traj)
+                                               + counters["backtracks"])
+
+    def test_carried_track_matches_exact_newton(self):
+        """Every snapshot of a track with the carried Jacobian matches the
+        decomposition of plain Newton with the exact Jacobian at every step,
+        started from the same predictor, within 1e-10 in c and a; the
+        spliced trajectory includes a refused carried step."""
+        grid, traj = spliced_pair()
+        track = track_modulation(traj, SPLICE_PAIR)
+        assert track.error is None
+        signs = SPLICE_PAIR.signs.astype(float)
+        cache = ChiCache(grid)
+        speeds, centers = SPLICE_PAIR.speeds, SPLICE_PAIR.centers
+        for i, snap in enumerate(traj.states):
+            if i > 0:
+                speeds = track.speeds[i - 1]
+                centers = track.centers[i - 1] + speeds * (traj.times[i] - traj.times[i - 1])
+            state = np.stack([snap.v.values, snap.w.values])
+            exact = modulation_oracle.exact_newton(np.concatenate([speeds, centers]),
+                                                   state, grid, signs, cache)
+            assert np.max(np.abs(track.speeds[i] - exact[:2])) <= 1e-10, i
+            assert np.max(np.abs(track.centers[i] - exact[2:])) <= 1e-10, i
+
+    def test_carried_step_refused_at_splice(self):
+        """Where the trajectory jumps to another perturbation, the carried
+        Jacobian falls short: its trial is refused, counted as one
+        backtrack, and the snapshot builds the exact Jacobian once.  Before
+        the splice only the first snapshot builds one."""
+        grid, traj = spliced_pair()
+
+        def track_to(m):
+            head = Trajectory(frame="hydro", grid=grid, times=traj.times[:m],
+                              states=traj.states[:m])
+            return track_modulation(head, SPLICE_PAIR)
+
+        before, through = track_to(SPLICE_AT), track_to(SPLICE_AT + 1)
+        assert before.error is None and through.error is None
+        assert (before.jacobian_builds, before.backtracks) == (1, 0)
+        assert through.jacobian_builds - before.jacobian_builds == 1
+        assert through.backtracks - before.backtracks == 1
 
     def test_snapshot_decomposition_independent_of_track_start(self):
         """Decomposing snapshot k gives the same (c, a) whether the track
