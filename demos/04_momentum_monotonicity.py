@@ -5,8 +5,6 @@ decrease stays within a defect that is exponentially small in the offset
 y0. Prints the measured series and the worst backward step for each y0.
 """
 
-import numpy as np
-
 from ll_lab import run_scenario, scenario_from_dict
 from ll_lab.scenarios import _monotonicity_defect
 
@@ -24,16 +22,15 @@ CONFIG = {
 
 def main():
     report = run_scenario(scenario_from_dict(CONFIG))
-    keys = sorted(report.samples[0].localized)
-    header = " ".join(f"{label}/y{y0:g}" for label, y0 in keys)
-    print(f"{'t':>6}  {header}")
-    for sample in report.samples:
-        row = " ".join(f"{sample.localized[k]:9.6f}" for k in keys)
-        print(f"{sample.t:6.1f}  {row}")
+    diag = report.diagnostics
+    names = [name for name in diag if name.startswith("I_")]
+    print(f"{'t':>6}  " + " ".join(f"{name:>12}" for name in names))
+    for i, t in enumerate(diag["t"]):
+        row = " ".join(f"{diag[name][i]:12.6f}" for name in names)
+        print(f"{t:6.1f}  {row}")
     print("\nworst backward step (0 means monotone):")
-    for key in keys:
-        series = np.array([s.localized[key] for s in report.samples])
-        print(f"  I({key[0]}, y0={key[1]:g}): {_monotonicity_defect(series):+.3e}")
+    for name in names:
+        print(f"  {name}: {_monotonicity_defect(diag[name]):+.3e}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from .grid import (
     SpinState,
     VacuumBreakdown,
     integrate,
-    spatial_derivative,
     spin_derivative,
     window_norm,
     x_norm,
@@ -17,7 +16,6 @@ from .grid import (
 from .solitons import (
     MultiSolitonConfig,
     SolitonParams,
-    SpeedGaps,
     extract_hydro,
     multi_soliton_sum,
     reconstruct_spin,
@@ -27,14 +25,11 @@ from .solitons import (
     soliton_nu,
     soliton_spin,
     soliton_spin_state,
-    speed_gaps,
     traveling_wave_residual,
     winding_number,
 )
 from .functionals import (
-    DiagnosticsSample,
     SeamSupportWarning,
-    diagnostics_to_csv,
     energy_hydro,
     energy_spin,
     localized_momentum,
@@ -72,7 +67,6 @@ from .modulation import (
     modulate,
     negative_mode,
     track_modulation,
-    track_to_csv,
 )
 from .scenarios import (
     ConfigError,
@@ -86,8 +80,8 @@ from .scenarios import (
     random_smooth_pair,
     run_scenario,
     scenario_from_dict,
-    scenario_from_json,
     write_report,
+    write_table,
 )
 
 __version__ = "0.1.0"

@@ -23,14 +23,15 @@ counters, chi_nodes, threads, error).  Exit codes:
   section, read as strictly as a scenario config.
 - ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
   run breaks down (the runs before it are written) or a margin is negative;
-  2 for an invalid option, with nothing written.
+  2 for an invalid option, or a run whose datum is not a non-vacuum state
+  or is too near vacuum for dt (every datum is drawn and checked before the
+  first run starts), with nothing written.
 - ``soliton-table``: 0 on success; 2 for an invalid option.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -55,10 +56,9 @@ from .scenarios import (
     random_smooth_pair,
     run_scenario,
     write_report,
+    write_table,
 )
 from .solitons import MultiSolitonConfig, soliton_hydro, soliton_spin
-
-_FMT = "%.17g"
 
 
 def _fail_config(message: str) -> int:
@@ -163,15 +163,23 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
 
     grid = Grid(n=2048, dx=0.1, x_min=-102.4)
     integ = IntegratorConfig(dt=2e-3, t_end=args.t_end, sample_stride=50)
-
-    rows = []
-    verdicts = []
-    error = None
     t0 = time.perf_counter()
+    data = []
     for k in range(args.runs):
         dv, dw = random_smooth_pair(grid, args.amplitude, args.seed + k,
                                     max_mode=8, sigma=grid.period / 10.0)
-        traj = evolve(HydroState.from_arrays(grid, dv, dw), integ)
+        try:
+            state = HydroState.from_arrays(grid, dv, dw)
+            integ.n_steps(grid, state.vacuum_margin())
+        except ValueError as exc:
+            return _fail_config(f"run {k}: {exc}")
+        data.append(state)
+
+    table = {"run": [], "t": [], "U": [], "rate": [], "quarter_xnorm2": [], "margin": []}
+    verdicts = []
+    error = None
+    for k, state0 in enumerate(data):
+        traj = evolve(state0, integ)
         if traj.error is not None:
             error = f"run {k}: {traj.error}"
             break
@@ -181,7 +189,9 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
             quarter = 0.25 * x_norm(state) ** 2
             margin = rate - quarter
             margin_min = min(margin_min, margin)
-            rows.append((k, float(t), virial_U(state), rate, quarter, margin))
+            for col, value in zip(table.values(),
+                                  (k, float(t), virial_U(state), rate, quarter, margin)):
+                col.append(value)
         verdicts.append(Verdict(f"coercivity_run{k}", margin_min >= 0.0, margin_min, 0.0))
 
     report = RunReport(name="virial-audit",
@@ -191,10 +201,7 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
                        timings={"total": time.perf_counter() - t0}, error=error)
     out_dir = write_report(report, args.out)
     with open(out_dir / "virial.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "t", "U", "rate", "quarter_xnorm2", "margin"])
-        for row in rows:
-            writer.writerow([row[0]] + [_FMT % val for val in row[1:]])
+        write_table(fh, table)
     _print_report(report)
     return 0 if report.all_passed else 1
 
@@ -212,24 +219,15 @@ def _cmd_soliton_table(args: argparse.Namespace) -> int:
     u = soliton_spin(args.c, x)
     v, w = soliton_hydro(args.c, x)
 
+    table = {"x": x, "u1": u[:, 0], "u2": u[:, 1], "u3": u[:, 2], "v": v, "w": w}
     if args.out is None:
-        fh = sys.stdout
-        close = False
-    else:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        fh = open(out_dir / "soliton_table.csv", "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u1", "u2", "u3", "v", "w"])
-        for i in range(count):
-            writer.writerow([_FMT % val for val in
-                             (x[i], u[i, 0], u[i, 1], u[i, 2], v[i], w[i])])
-    finally:
-        if close:
-            fh.close()
-            print(f"wrote {out_dir / 'soliton_table.csv'} ({count} rows)")
+        write_table(sys.stdout, table)
+        return 0
+    path = Path(args.out) / "soliton_table.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        write_table(fh, table)
+    print(f"wrote {path} ({count} rows)")
     return 0
 
 

@@ -26,14 +26,15 @@ dominates 1/4 ||s||_X^2 for small data.  All weighted assemblies use x (a
 periodic sawtooth) strictly as a pointwise weight; only smooth fields are
 ever differentiated, so the identities hold on the grid to rounding for
 seam-centered band-limited data.
+
+These are functionals of one state.  Their series along a run are the
+named diagnostics columns that :mod:`ll_lab.scenarios` records and writes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -233,53 +234,3 @@ def virial_rate(state: HydroState) -> float:
     nonlinear = integrate(xt * (db1 * state.v.values + db2 * state.w.values), grid)
     return _weighted_rate_terms(state, ls) + nonlinear
 
-
-# ---------------------------------------------------------------------------
-# diagnostics records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """One sampled time: conserved quantities, virial, localized momenta
-    keyed by (path label, y0), windowed norms keyed by path label, and the
-    :func:`seam_norm` of the state."""
-
-    t: float
-    energy: float
-    momentum: float
-    virial: float
-    localized: Mapping[tuple[str, float], float]
-    window_norms: Mapping[str, float]
-    seam: float
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def diagnostics_header(sample: DiagnosticsSample) -> list[str]:
-    cols = ["t", "E", "P", "U"]
-    for label, y0 in sorted(sample.localized):
-        cols.append(f"I_{label}_y{y0:+g}")
-    for label in sorted(sample.window_norms):
-        cols.append(f"win_{label}")
-    cols.append("seam")
-    return cols
-
-
-def diagnostics_to_csv(samples: Sequence[DiagnosticsSample], path) -> None:
-    """Write diagnostics as RFC-4180 CSV with 17 significant digits."""
-    if not samples:
-        raise ValueError("no samples to write")
-    import csv
-
-    header = diagnostics_header(samples[0])
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in samples:
-            row = [_fmt(s.t), _fmt(s.energy), _fmt(s.momentum), _fmt(s.virial)]
-            row += [_fmt(s.localized[k]) for k in sorted(s.localized)]
-            row += [_fmt(s.window_norms[k]) for k in sorted(s.window_norms)]
-            row.append(_fmt(s.seam))
-            writer.writerow(row)

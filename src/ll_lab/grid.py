@@ -303,13 +303,6 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     return float(np.sum(values) * grid.dx)
 
 
-def spatial_derivative(f: RealField, order: int = 1) -> RealField:
-    """Spectral derivative of a field; orders 1 through 3 are supported."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    return RealField(f.grid, deriv_array(f.values, f.grid, order))
-
-
 def spin_derivative(s: SpinState, order: int = 1) -> np.ndarray:
     """Componentwise derivative of a spin field, honouring its phase sector.
 

@@ -169,8 +169,7 @@ def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
 # ---------------------------------------------------------------------------
 
 def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
-                     tol_first: float, tol_rest: float, maxiter: int = 300,
-                     maxdim: int = 90):
+                     tol_first: float, tol_rest: float, maxiter: int):
     """Lowest ``nev`` Ritz pairs of a symmetric operator on column vectors.
 
     ``apply_block(X)`` applies the operator to every column of X, and
@@ -179,6 +178,7 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
 
     Convergence demands the first residual below tol_first and the remaining
     tracked residuals below tol_rest (Euclidean norms, unit Ritz vectors).
+    The basis restarts when it would outgrow CHI_MAXDIM columns.
     Returns (thetas, vectors, residual_norms, iterations).
     """
 
@@ -191,7 +191,7 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
 
     # the basis V and its image HV fill preallocated column-major buffers,
     # and the Gram matrix V^T H V grows by the new block's rows and columns
-    basis = np.empty((x0.shape[0], maxdim), order="F")
+    basis = np.empty((x0.shape[0], CHI_MAXDIM), order="F")
     image = np.empty_like(basis)
     V, _ = np.linalg.qr(x0)
     dim = V.shape[1]
@@ -214,7 +214,7 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
             return last
         unconverged = res > tols
         W = precond_block(R[:, unconverged], thetas[:m][unconverged])
-        if dim + W.shape[1] > maxdim:
+        if dim + W.shape[1] > CHI_MAXDIM:
             dim = min(8 * nev, dim)
             basis[:, :dim] = V @ S[:, :dim]
             image[:, :dim] = HV @ S[:, :dim]
@@ -361,8 +361,10 @@ CHI_LATTICE_STEP = 0.02
 """Spacing h of the speed lattice c_k = k h on which :class:`ChiCache`
 solves the negative directions."""
 
-# negative_mode's Davidson: residual of the lowest pair, of a certified pair
+# negative_mode's Davidson: residual of the lowest pair, of a certified pair,
+# the iteration cap, and the basis size at which it restarts
 CHI_TOL_FIRST, CHI_TOL_CERTIFY, CHI_MAXITER = 2e-7, 1e-4, 200
+CHI_MAXDIM = 90
 
 
 class ChiCache:
@@ -764,6 +766,17 @@ class ModulationTrack:
                 "chi_solves": len(self.chi_nodes),
                 "davidson_iters": sum(node["iterations"] for node in self.chi_nodes)}
 
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The modulation.csv columns: t, c_1..c_N, a_1..a_N, eps_xnorm, iters."""
+        nsol = self.n_solitons
+        cols = {"t": self.times}
+        cols.update((f"c_{j + 1}", self.speeds[:, j]) for j in range(nsol))
+        cols.update((f"a_{j + 1}", self.centers[:, j]) for j in range(nsol))
+        cols["eps_xnorm"] = self.eps_norms
+        cols["iters"] = self.newton_iters
+        return cols
+
     @cached_property
     def center_rates(self) -> np.ndarray:
         """da_j/dt by differences; NaN when fewer than two rows leave no rate."""
@@ -837,21 +850,3 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
                                             "residual": mode.residual,
                                             "iterations": mode.iterations}
                                            for mode in cache.nodes))
-
-
-def track_to_csv(track: ModulationTrack, path) -> None:
-    """CSV columns: t, c_1..c_N, a_1..a_N, eps_xnorm, iters."""
-    import csv
-
-    nsol = track.n_solitons
-    header = (["t"] + [f"c_{j + 1}" for j in range(nsol)]
-              + [f"a_{j + 1}" for j in range(nsol)] + ["eps_xnorm", "iters"])
-    with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(track.times):
-            row = [f"{t:.17g}"]
-            row += [f"{c:.17g}" for c in track.speeds[i]]
-            row += [f"{a:.17g}" for a in track.centers[i]]
-            row += [f"{track.eps_norms[i]:.17g}", str(int(track.newton_iters[i]))]
-            writer.writerow(row)

@@ -6,9 +6,14 @@ builds the initial state, evolves it in the requested frame, tracks the
 modulation parameters, samples the conserved and localized functionals at
 the positions of the tracked soliton paths, snapshot by snapshot, and turns
 the recorded series into pass/fail verdicts.  A track lost mid-run keeps
-its rows, and the diagnostics stop where it stops.  ``write_report`` emits
-diagnostics.csv, modulation.csv, and report.json for every subcommand's
-``RunReport``; verdicts are pure functions of the emitted series.
+its rows, and the diagnostics stop where it stops.
+
+A run's diagnostics are one dict of named columns, keyed by the
+diagnostics.csv header names in header order, and the verdicts read those
+columns, so they are pure functions of the emitted series.
+``write_report`` emits diagnostics.csv, modulation.csv, and report.json for
+every subcommand's ``RunReport``; every CSV of a run, these two and the
+CLI's virial and soliton tables, goes through the one ``write_table``.
 
 Configs are strict JSON read by ``read_config``, for which the config
 dataclasses are the schema: unknown keys are rejected with the offending
@@ -17,11 +22,12 @@ field path, so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -29,9 +35,7 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, evolve, step_rk4
 from .functionals import (
-    DiagnosticsSample,
     _virial_U,
-    diagnostics_to_csv,
     energy_hydro,
     localized_momentum,
     localized_momentum_rate,
@@ -39,19 +43,8 @@ from .functionals import (
     seam_norm,
 )
 from .grid import Grid, HydroState, integrate, window_norm, x_norm_arrays
-from .modulation import (
-    ModulationTrack,
-    negative_mode,
-    track_modulation,
-    track_to_csv,
-)
-from .solitons import (
-    MultiSolitonConfig,
-    as_hydro,
-    multi_soliton_sum,
-    reconstruct_spin,
-    speed_gaps,
-)
+from .modulation import ModulationTrack, negative_mode, track_modulation
+from .solitons import MultiSolitonConfig, as_hydro, multi_soliton_sum, reconstruct_spin
 
 
 class ConfigError(ValueError):
@@ -110,6 +103,10 @@ class DiagnosticsConfig:
     gammas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        tags = [f"{y0:+g}" for y0 in self.y0_list]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"y0_list: offsets name the I_<label>_y<y0> columns and "
+                              f"must differ in %+g form, got {list(self.y0_list)}")
         if self.window_half_width <= 0.0:
             raise ConfigError(f"window_half_width: must be > 0, got {self.window_half_width}")
         if self.b_path not in ("midpoints", "fixed_speed"):
@@ -245,10 +242,6 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
     return read_config(ScenarioConfig, data, path)
 
 
-def scenario_from_json(text: str, path: str = "config") -> ScenarioConfig:
-    return read_config(ScenarioConfig, _parse_json(text, path), path)
-
-
 def load_scenario(file_path) -> ScenarioConfig:
     return load_config(ScenarioConfig, file_path)
 
@@ -358,11 +351,12 @@ THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 class RunReport:
     """The record of one run of any subcommand, written by ``write_report``.
 
-    ``name`` names the output directory, ``config`` echoes the run's inputs
-    as JSON, and ``samples`` and ``track`` feed diagnostics.csv and
-    modulation.csv when the run has them; the track's work counts are the
-    report's ``counters`` and its negative-mode solves its ``chi_nodes``,
-    both empty for a run without a track.  ``threads`` records each of
+    ``name`` names the output directory, and ``config`` echoes the run's
+    inputs as JSON.  ``diagnostics`` holds the diagnostics.csv columns by
+    header name, in header order (empty for a run without them), and
+    ``track`` the modulation parameters that feed modulation.csv; the
+    track's work counts are the report's ``counters`` and its negative-mode
+    solves its ``chi_nodes``, both empty for a run without a track.  ``threads`` records each of
     THREAD_VARIABLES as the process saw it, None when unset.
     """
 
@@ -370,7 +364,7 @@ class RunReport:
     config: Mapping[str, Any]
     verdicts: tuple
     timings: Mapping[str, float]
-    samples: tuple = ()
+    diagnostics: Mapping[str, np.ndarray] = field(default_factory=dict)
     track: Optional[ModulationTrack] = None
     error: Optional[str] = None
 
@@ -415,34 +409,44 @@ def _paths(cfg: ScenarioConfig, track: ModulationTrack
     return paths, rates
 
 
-def _collect_samples(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
-                     paths: Mapping[str, np.ndarray]) -> tuple[DiagnosticsSample, ...]:
-    """One sample per tracked row: ``times`` are the track's, ``states`` the
-    trajectory's snapshots in either frame, and the functionals are taken at
-    each path's position in that row."""
-    nu = speed_gaps(cfg.solitons.speeds).nu
+def _localized_name(label: str, y0: float) -> str:
+    """The diagnostics column of the localized momentum of path ``label``
+    with its step at offset y0."""
+    return f"I_{label}_y{y0:+g}"
+
+
+def _collect_diagnostics(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
+                         paths: Mapping[str, np.ndarray], nu: float) -> dict[str, np.ndarray]:
+    """The diagnostics.csv columns, one row per tracked snapshot: ``times``
+    are the track's, ``states`` the trajectory's snapshots in either frame,
+    and the functionals are taken at each path's position in that row.
+
+    The keys are the header, in order: t, E, P, U, then I_<label>_y<y0> by
+    label and y0, win_<label> by label, and seam.
+    """
+    labels = sorted(paths)
+    y0s = sorted(cfg.diagnostics.y0_list)
     hw = cfg.diagnostics.window_half_width
-    samples = []
+    names = (["E", "P", "U"] + [_localized_name(label, y0) for label in labels for y0 in y0s]
+             + [f"win_{label}" for label in labels] + ["seam"])
+    diag = {"t": np.array(times, dtype=float)}
+    diag.update((name, np.empty(len(times))) for name in names)
     for i in range(len(times)):
-        t = float(times[i])
         state = as_hydro(states[i])
-        localized: dict[tuple[str, float], float] = {}
-        windows: dict[str, float] = {}
-        for label, centers in paths.items():
-            b = float(centers[i])
-            for y0 in cfg.diagnostics.y0_list:
-                localized[(label, y0)] = localized_momentum(state, b + y0, nu)
-            windows[label] = window_norm(state, b, hw)
+        diag["E"][i] = energy_hydro(state)
+        diag["P"][i] = momentum(state)
         # the virial column is recorded for every state, including ones
         # whose radiation has reached the seam, with the seam's mass next to
         # it; the identity checks that need seam-free data run on their own
         # compactly-centered states
-        samples.append(DiagnosticsSample(t=t, energy=energy_hydro(state),
-                                         momentum=momentum(state),
-                                         virial=_virial_U(state),
-                                         localized=localized, window_norms=windows,
-                                         seam=seam_norm(state)))
-    return tuple(samples)
+        diag["U"][i] = _virial_U(state)
+        for label in labels:
+            b = float(paths[label][i])
+            for y0 in y0s:
+                diag[_localized_name(label, y0)][i] = localized_momentum(state, b + y0, nu)
+            diag[f"win_{label}"][i] = window_norm(state, b, hw)
+        diag["seam"][i] = seam_norm(state)
+    return diag
 
 
 def _monotonicity_defect(series: np.ndarray) -> float:
@@ -453,7 +457,7 @@ def _monotonicity_defect(series: np.ndarray) -> float:
 
 def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
                    paths: Mapping[str, np.ndarray],
-                   rates: Mapping[str, np.ndarray]) -> float:
+                   rates: Mapping[str, np.ndarray], nu: float) -> float:
     """Worst |finite difference - formula| for dI/dt over a few spot checks.
 
     The comparison runs along frozen constant-speed rays through the sampled
@@ -468,7 +472,6 @@ def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
     """
     if not cfg.diagnostics.y0_list or len(times) < 4:
         return 0.0
-    nu = speed_gaps(cfg.solitons.speeds).nu
     dt_fd = min(cfg.integrator.dt, 1e-4)
     worst = 0.0
     for i in (1, 2, 3):
@@ -491,19 +494,19 @@ def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
     return worst
 
 
-def _build_verdicts(cfg: ScenarioConfig, samples: Sequence[DiagnosticsSample],
+def _build_verdicts(cfg: ScenarioConfig, diag: Mapping[str, np.ndarray],
                     track: Optional[ModulationTrack],
-                    rate_fd_err: Optional[float]) -> list[Verdict]:
+                    rate_fd_err: Optional[float], nu: float) -> list[Verdict]:
+    """The verdicts of a run, from the diagnostics columns ``diag`` (empty
+    without a track), the track, and the rate check's worst error."""
     verdicts: list[Verdict] = []
     nsol = cfg.solitons.n_solitons
     alpha = cfg.perturbation.amplitude
-    nu = speed_gaps(cfg.solitons.speeds).nu
 
-    if samples:
-        e0 = samples[0].energy
-        p0 = samples[0].momentum
-        e_drift = max(abs(s.energy - e0) for s in samples) / abs(e0)
-        p_drift = max(abs(s.momentum - p0) for s in samples) / (1.0 + abs(p0))
+    if diag:
+        energy, mom = diag["E"], diag["P"]
+        e_drift = float(np.max(np.abs(energy - energy[0]))) / abs(float(energy[0]))
+        p_drift = float(np.max(np.abs(mom - mom[0]))) / (1.0 + abs(float(mom[0])))
         verdicts.append(Verdict("energy_drift", e_drift <= 1e-8, e_drift, 1e-8))
         verdicts.append(Verdict("momentum_drift", p_drift <= 1e-8, p_drift, 1e-8))
 
@@ -527,13 +530,11 @@ def _build_verdicts(cfg: ScenarioConfig, samples: Sequence[DiagnosticsSample],
                                   - 10.0 * track.eps_norms[:, None]))
             verdicts.append(Verdict("center_rate_margin", margin <= 0.0, margin, 0.0))
 
-    if samples and cfg.diagnostics.y0_list:
-        by_key: dict[tuple[str, float], np.ndarray] = {}
-        for key in samples[0].localized:
-            by_key[key] = np.array([s.localized[key] for s in samples])
+    if diag and cfg.diagnostics.y0_list:
+        labels = [name[len("win_"):] for name in diag if name.startswith("win_")]
         for y0 in cfg.diagnostics.y0_list:
-            defect = min(_monotonicity_defect(series)
-                         for (label, yy), series in by_key.items() if yy == y0)
+            defect = min(_monotonicity_defect(diag[_localized_name(label, y0)])
+                         for label in labels)
             bound = -10.0 * math.exp(-nu * abs(y0) / 16.0)
             verdicts.append(Verdict(f"monotonicity_y{y0:g}", defect >= bound,
                                     defect, bound))
@@ -541,9 +542,9 @@ def _build_verdicts(cfg: ScenarioConfig, samples: Sequence[DiagnosticsSample],
     if rate_fd_err is not None:
         verdicts.append(Verdict("rate_fd_match", rate_fd_err <= 1e-6, rate_fd_err, 1e-6))
 
-    if cfg.perturbation.kind == "between_bump" and samples and "b1" in samples[0].window_norms:
-        w0 = samples[0].window_norms["b1"]
-        wT = samples[-1].window_norms["b1"]
+    if cfg.perturbation.kind == "between_bump" and "win_b1" in diag:
+        w0 = float(diag["win_b1"][0])
+        wT = float(diag["win_b1"][-1])
         ratio = wT / w0 if w0 > 0.0 else 0.0
         verdicts.append(Verdict("between_decay", ratio <= 0.5, ratio, 0.5))
     return verdicts
@@ -584,32 +585,52 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     timings["track"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    samples: tuple = ()
+    # the step width of the localized momenta: nu = min_j sqrt(1 - c_j^2)
+    speeds = cfg.solitons.speeds
+    nu = float(np.min(np.sqrt(1.0 - speeds * speeds)))
+    diag: dict[str, np.ndarray] = {}
     rate_fd_err: Optional[float] = None
     if track is not None:
         paths, rates = _paths(cfg, track)
         # the track's rows are the snapshots the diagnostics cover
-        samples = _collect_samples(cfg, track.times, traj.states, paths)
+        diag = _collect_diagnostics(cfg, track.times, traj.states, paths, nu)
         if cfg.diagnostics.y0_list and len(track.times) >= 2:
-            rate_fd_err = _rate_fd_check(cfg, track.times, traj.states, paths, rates)
+            rate_fd_err = _rate_fd_check(cfg, track.times, traj.states, paths, rates, nu)
     timings["diagnostics"] = time.perf_counter() - t0
 
-    verdicts = _build_verdicts(cfg, samples, track, rate_fd_err)
+    verdicts = _build_verdicts(cfg, diag, track, rate_fd_err, nu)
     timings["total"] = time.perf_counter() - t_total
     return RunReport(name=cfg.name, config=cfg.to_dict(), verdicts=tuple(verdicts),
-                     timings=timings, samples=samples, track=track, error=error)
+                     timings=timings, diagnostics=diag, track=track, error=error)
+
+
+def write_table(fh, columns: Mapping[str, Sequence]) -> None:
+    """Write named columns of equal length to the open text file ``fh`` as
+    RFC-4180 CSV: a header row of the names, in order, then one row per
+    index, every value as ``f"{x:.17g}"``.  Seventeen significant digits
+    read back to the same double, and an integer is written as one."""
+    if not columns:
+        raise ValueError("a table needs at least one column")
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    if len({len(col) for col in values}) != 1:
+        raise ValueError(f"columns differ in length: {[len(col) for col in values]}")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows([f"{x:.17g}" for x in row] for row in zip(*values))
 
 
 def write_report(report: RunReport, out_root) -> Path:
-    """Write report.json, plus diagnostics.csv and modulation.csv when the
-    report carries samples and a track, under out_root/<report name>/ and
-    return that directory."""
+    """Write report.json, plus diagnostics.csv when the report carries
+    diagnostics and modulation.csv when it carries a track, under
+    out_root/<report name>/ and return that directory."""
     out_dir = Path(out_root) / report.name
     out_dir.mkdir(parents=True, exist_ok=True)
-    if report.samples:
-        diagnostics_to_csv(report.samples, out_dir / "diagnostics.csv")
-    if report.track is not None:
-        track_to_csv(report.track, out_dir / "modulation.csv")
+    tables = {"diagnostics.csv": report.diagnostics,
+              "modulation.csv": report.track.columns if report.track is not None else {}}
+    for file_name, columns in tables.items():
+        if columns:
+            with open(out_dir / file_name, "w", newline="") as fh:
+                write_table(fh, columns)
     with open(out_dir / "report.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -236,37 +235,6 @@ class MultiSolitonConfig:
     @cached_property
     def signs(self) -> np.ndarray:
         return np.array([p.s for p in self.params])
-
-
-@dataclass(frozen=True)
-class SpeedGaps:
-    """Derived spacing constants of a speed vector c_1 < ... < c_N.
-
-    mu  = min_j |c_j|                    distance to the stationary speed,
-    nu  = min_j sqrt(1 - c_j^2)          smallest amplitude parameter,
-    delta = half the least gap within (-1, c_1, ..., c_N, 1).
-    """
-
-    mu: float
-    nu: float
-    delta: float
-
-
-def speed_gaps(speeds: Sequence[float]) -> SpeedGaps:
-    """Spacing constants of an increasing speed vector."""
-
-    c = np.asarray(speeds, dtype=float)
-    if c.ndim != 1 or len(c) < 1:
-        raise ValueError("speeds must be a non-empty 1-d sequence")
-    if np.any(np.abs(c) >= 1.0) or np.any(c == 0.0):
-        raise ValueError(f"speeds must lie in (-1, 1) excluding 0, got {c}")
-    if np.any(np.diff(c) <= 0.0):
-        raise ValueError(f"speeds must be strictly increasing, got {c}")
-    mu = float(np.min(np.abs(c)))
-    nu = float(np.min(np.sqrt(1.0 - c * c)))
-    fence = np.concatenate([[-1.0], c, [1.0]])
-    delta = 0.5 * float(np.min(np.diff(fence)))
-    return SpeedGaps(mu=mu, nu=nu, delta=delta)
 
 
 def _sum_profile_arrays(speeds: np.ndarray, centers: np.ndarray, signs: np.ndarray,

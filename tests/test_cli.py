@@ -387,6 +387,18 @@ class TestVirialAudit:
         assert main(["virial-audit", "--amplitude", "-0.5", "--runs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude,needle", [
+        (20.0, "run 0: non-vacuum constraint violated"),   # max|v| = 1.58
+        (12.0, "run 0: dt: 0.002 exceeds the stability limit"),  # min(1 - v^2) = 0.098
+        (6.0, "run 1: non-vacuum constraint violated"),  # run 0 alone would run
+    ])
+    def test_datum_refused_up_front(self, tmp_path, capsys, amplitude, needle):
+        out = tmp_path / "out"
+        assert main(["virial-audit", "--amplitude", str(amplitude), "--runs", "2",
+                     "--t-end", "0.1", "--out", str(out)]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["simulate", "modulate-track", "virial-audit"])
 def test_report_records_thread_settings(tmp_path, monkeypatch, command):

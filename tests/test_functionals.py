@@ -12,16 +12,15 @@ import math
 import numpy as np
 import pytest
 
-from ll_lab import (DiagnosticsSample, Grid, HydroState, IntegratorConfig,
-                    SeamSupportWarning, diagnostics_to_csv,
-                    energy_hydro, energy_spin, evolve, extract_hydro, integrate,
+from ll_lab import (Grid, HydroState, IntegratorConfig, SeamSupportWarning,
+                    energy_hydro, energy_spin, evolve,
                     localized_momentum, localized_momentum_rate, momentum,
                     multi_soliton_sum, phi_bump, phi_bump_d1, phi_bump_d3,
                     reconstruct_spin, soliton_energy, soliton_hydro,
                     soliton_momentum, virial_U, virial_linear_identity,
                     virial_rate, x_norm)
 from ll_lab import MultiSolitonConfig, SolitonParams
-from ll_lab.scenarios import random_smooth_pair
+from ll_lab.scenarios import random_smooth_pair, write_table
 
 
 def soliton_state(c, grid, a=0.0):
@@ -208,20 +207,22 @@ class TestVirial:
 
 
 class TestDiagnosticsCsv:
-    def _samples(self):
-        loc = {("a1", 5.0): 0.125, ("a1", 10.0): -0.0625}
-        win = {"between": 0.001953125}
-        return [
-            DiagnosticsSample(t=0.0, energy=1.6, momentum=0.5, virial=0.01,
-                              localized=loc, window_norms=win, seam=0.0),
-            DiagnosticsSample(t=0.1, energy=1.6 + 1e-16, momentum=0.5, virial=0.02,
-                              localized={("a1", 5.0): 1.0 / 3.0, ("a1", 10.0): 0.1},
-                              window_norms={"between": 0.002}, seam=1e-12),
-        ]
+    """diagnostics.csv is written from named columns by ``write_table``."""
+
+    def _columns(self):
+        return {"t": np.array([0.0, 0.1]),
+                "E": np.array([1.6, 1.6 + 1e-16]),
+                "P": np.array([0.5, 0.5]),
+                "U": np.array([0.01, 0.02]),
+                "I_a1_y+5": np.array([0.125, 1.0 / 3.0]),
+                "I_a1_y+10": np.array([-0.0625, 0.1]),
+                "win_between": np.array([0.001953125, 0.002]),
+                "seam": np.array([0.0, 1e-12])}
 
     def test_header_and_roundtrip(self, tmp_path):
         path = tmp_path / "diag.csv"
-        diagnostics_to_csv(self._samples(), path)
+        with open(path, "w", newline="") as fh:
+            write_table(fh, self._columns())
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "E", "P", "U", "I_a1_y+5", "I_a1_y+10", "win_between",
@@ -230,7 +231,11 @@ class TestDiagnosticsCsv:
         # 17 significant digits round-trip doubles exactly
         assert float(rows[2][4]) == 1.0 / 3.0
         assert float(rows[1][1]) == 1.6
+        assert float(rows[2][1]) == 1.6 + 1e-16
 
     def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            diagnostics_to_csv([], tmp_path / "nope.csv")
+        with open(tmp_path / "nope.csv", "w", newline="") as fh:
+            with pytest.raises(ValueError):
+                write_table(fh, {})
+            with pytest.raises(ValueError, match="differ in length"):
+                write_table(fh, {"t": np.array([0.0, 0.1]), "E": np.array([1.6])})

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ll_lab import (Grid, HydroState, RealField, SpinState, VacuumBreakdown,
-                    VACUUM_GUARD, energy_hydro, integrate, spatial_derivative,
-                    spin_derivative, window_norm, x_norm)
+                    VACUUM_GUARD, energy_hydro, integrate, spin_derivative,
+                    window_norm, x_norm)
 from ll_lab.grid import antiderivative_array, complex_deriv_array, deriv_array
 
 from field_oracle import shift_array
@@ -210,16 +210,6 @@ class TestHydroState:
         base = window_norm(state, center, half_width)
         for shift in (1e-12, -1e-12):
             assert abs(window_norm(state, center + shift, half_width) - base) <= 1e-9
-
-    def test_spatial_derivative_orders(self):
-        k = 2.0 * math.pi * 4 / self.grid.period
-        field = RealField(self.grid, 0.1 * np.sin(k * self.grid.x))
-        for order in (1, 2, 3):
-            d = spatial_derivative(field, order)
-            assert d.values.shape == (self.grid.n,)
-            assert np.max(np.abs(d.values)) <= 0.1 * k ** order + 1e-9
-        with pytest.raises(ValueError):
-            spatial_derivative(field, 4)
 
 
 class TestSpinState:

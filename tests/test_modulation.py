@@ -17,7 +17,7 @@ from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfi
                     ModulationError, MultiSolitonConfig, RealField, SolitonParams,
                     Trajectory, evolve, grad_EP, hessian_apply, integrate, modulate,
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
-                    track_to_csv, x_norm)
+                    write_table, x_norm)
 from ll_lab import modulation
 from ll_lab.grid import lowpass_array
 from ll_lab.modulation import CHI_LATTICE_STEP, _jacobian, _residual
@@ -590,14 +590,19 @@ class TestTrackModulation:
     def test_track_csv_columns(self, tmp_path):
         traj, cfg = self._tw_trajectory()
         track = track_modulation(traj, cfg)
+        assert list(track.columns) == ["t", "c_1", "a_1", "eps_xnorm", "iters"]
         path = tmp_path / "track.csv"
-        track_to_csv(track, path)
+        with open(path, "w", newline="") as fh:
+            write_table(fh, track.columns)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,c_1,a_1,eps_xnorm,iters"
         assert len(lines) == len(track.times) + 1
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(0.5, abs=1e-8)
+        # the Newton iteration count is written as an integer
+        assert [int(line.split(",")[-1]) for line in lines[1:]] == list(track.newton_iters)
+        assert all("." not in line.split(",")[-1] for line in lines[1:])
 
 
 class TestChiCache:

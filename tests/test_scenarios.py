@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 from ll_lab import (ConfigError, Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
                     SolitonParams, evolve, integrate, load_scenario, multi_soliton_sum,
-                    run_scenario, scenario_from_dict, scenario_from_json, write_report,
-                    x_norm)
+                    run_scenario, scenario_from_dict, write_report, write_table, x_norm)
 from ll_lab.dynamics import STEP_SAFETY
 from ll_lab.scenarios import (DiagnosticsConfig, Perturbation, ScenarioConfig,
-                              _monotonicity_defect, build_initial, random_smooth_pair,
-                              read_config)
+                              _monotonicity_defect, build_initial, load_config,
+                              random_smooth_pair, read_config)
 
 import config_oracle
 
@@ -78,6 +77,7 @@ MALFORMED = [
     ({"solitons__params": {"c": 0.5, "a": 0.0}}, "config.solitons.params: expected a list"),
     ({"grid": []}, "config.grid: expected an object"),
     ({"diagnostics__y0_list": [5.0, True]}, "config.diagnostics.y0_list[1]"),
+    ({"diagnostics__y0_list": [5.0, 5.0000001]}, "config.diagnostics.y0_list: offsets name"),
     # dt is checked against the grid's step bound and against t_end
     ({"integrator__dt": 0.005}, "config.integrator.dt: 0.005 exceeds the stability limit"),
     ({"integrator__t_end": 1.0005}, "config.integrator.dt: t_end = 1.0005"),
@@ -108,9 +108,11 @@ class TestConfigParsing:
         cfg = scenario_from_dict(BASE)
         assert cfg.grid.x_min == pytest.approx(-25.6)
 
-    def test_json_error_reports_position(self):
-        with pytest.raises(ConfigError, match="line 1"):
-            scenario_from_json("{bad json]")
+    def test_json_error_reports_position(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad json]")
+        with pytest.raises(ConfigError, match="line 1, column 2"):
+            load_config(ScenarioConfig, path)
 
     @pytest.mark.parametrize("updates,needle", MALFORMED)
     def test_malformed_configs_name_the_field(self, updates, needle):
@@ -415,7 +417,7 @@ class TestRunScenario:
         """t_end = 0 tracks one snapshot, which has samples but no rates."""
         report = run_scenario(scenario_from_dict(variant(integrator__t_end=0.0)))
         assert report.error is None
-        assert len(report.samples) == 1
+        assert len(report.diagnostics["t"]) == 1
         assert {v.name for v in report.verdicts} == {"energy_drift", "momentum_drift",
                                                      "monotonicity_y5"}
 
@@ -426,9 +428,9 @@ class TestRunScenario:
         r2 = run_scenario(scenario_from_dict(data))
         assert np.array_equal(r1.track.speeds, r2.track.speeds)
         assert np.array_equal(r1.track.centers, r2.track.centers)
-        for s1, s2 in zip(r1.samples, r2.samples):
-            assert s1.energy == s2.energy
-            assert s1.localized == s2.localized
+        assert list(r1.diagnostics) == list(r2.diagnostics)
+        for name, column in r1.diagnostics.items():
+            assert np.array_equal(column, r2.diagnostics[name]), name
 
     def test_spin_frame_run(self):
         data = variant(frame="spin")
@@ -517,8 +519,76 @@ class TestRunScenario:
         data["diagnostics"]["gammas"] = [0.0]
         report = run_scenario(scenario_from_dict(data))
         assert report.error is None
-        labels = {label for (label, _y0) in report.samples[0].localized}
-        assert labels == {"a1", "a2", "b1"}
+        assert list(report.diagnostics) == [
+            "t", "E", "P", "U", "I_a1_y+5", "I_a2_y+5", "I_b1_y+5",
+            "win_a1", "win_a2", "win_b1", "seam"]
+
+
+class TestWriteTable:
+    def test_header_order_roundtrip_and_integers(self, tmp_path):
+        rng = np.random.default_rng(5)
+        doubles = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+                                  [0.1, 1.0 / 3.0, -0.0, 5e-324, 1.7976931348623157e308]])
+        columns = {"zeta": doubles, "alpha": np.arange(len(doubles)) + 1,
+                   "mid": doubles[::-1].copy()}
+        path = tmp_path / "table.csv"
+        with open(path, "w", newline="") as fh:
+            write_table(fh, columns)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["zeta", "alpha", "mid"]  # insertion order, not sorted
+        assert len(rows) == len(doubles) + 1
+        assert [float(row[0]) for row in rows[1:]] == doubles.tolist()
+        assert [float(row[2]) for row in rows[1:]] == doubles[::-1].tolist()
+        assert rows[3][1] == "3"
+        assert all(row[1] == str(i + 1) for i, row in enumerate(rows[1:]))
+        assert path.read_bytes().startswith(b"zeta,alpha,mid\r\n")
+
+    def test_empty_columns_write_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with open(path, "w", newline="") as fh:
+            write_table(fh, {"t": np.array([]), "iters": np.array([], dtype=int)})
+        assert path.read_bytes() == b"t,iters\r\n"
+
+
+class TestVerdictsFromWrittenSeries:
+    def test_drifts_and_monotonicity_from_diagnostics_csv(self, tmp_path):
+        """energy_drift, momentum_drift and every monotonicity_y* recompute
+        exactly from the written diagnostics.csv."""
+        data = variant(
+            name="pair",
+            solitons__params=[{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
+            solitons__min_separation=20.0,
+            perturbation__kind="random_smooth",
+            perturbation__amplitude=0.01,
+            diagnostics__y0_list=[5.0, -3.0])
+        report = run_scenario(scenario_from_dict(data))
+        assert report.error is None
+        out = write_report(report, tmp_path)
+        with open(out / "diagnostics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        series = {name: [float(row[j]) for row in rows[1:]]
+                  for j, name in enumerate(rows[0])}
+        assert len(series["t"]) == 5
+
+        def defect(values):
+            worst, running_max = 0.0, -math.inf
+            for value in values:
+                running_max = max(running_max, value)
+                worst = min(worst, value - running_max)
+            return worst
+
+        e, p = series["E"], series["P"]
+        expected = {
+            "energy_drift": max(abs(x - e[0]) for x in e) / abs(e[0]),
+            "momentum_drift": max(abs(x - p[0]) for x in p) / (1.0 + abs(p[0])),
+        }
+        for y0, tag in ((5.0, "+5"), (-3.0, "-3")):
+            expected[f"monotonicity_y{y0:g}"] = min(
+                defect(values) for name, values in series.items()
+                if name.startswith("I_") and name.endswith(f"_y{tag}"))
+        measured = {v.name: v.measured for v in report.verdicts}
+        assert {name: measured[name] for name in expected} == expected
 
 
 class TestPerturbationDataclass:

@@ -15,7 +15,7 @@ from ll_lab import (Grid, MultiSolitonConfig, SolitonParams, VacuumBreakdown,
                     energy_hydro, extract_hydro, integrate, momentum,
                     multi_soliton_sum, reconstruct_spin, soliton_energy,
                     soliton_hydro, soliton_momentum, soliton_nu, soliton_spin,
-                    soliton_spin_state, speed_gaps, traveling_wave_residual,
+                    soliton_spin_state, traveling_wave_residual,
                     winding_number)
 from ll_lab.grid import deriv_array
 from ll_lab.solitons import soliton_hydro_jet
@@ -233,25 +233,3 @@ class TestWindingNumber:
         grid = Grid.centered(256, 0.25)
         state = grid_state(grid, np.zeros(grid.n), np.zeros(grid.n))
         assert winding_number(state) == 0.0
-
-
-class TestSpeedGaps:
-    def test_single_speed(self):
-        gaps = speed_gaps([0.6])
-        assert gaps.mu == pytest.approx(0.6)
-        assert gaps.nu == pytest.approx(0.8)
-
-    def test_multi_speed_minima(self):
-        gaps = speed_gaps([-0.5, 0.3, 0.9])
-        assert gaps.mu == pytest.approx(0.3)
-        assert gaps.nu == pytest.approx(math.sqrt(1.0 - 0.81))
-        # fence (-1, -0.5, 0.3, 0.9, 1) has least gap 0.1, so delta = 0.05
-        assert gaps.delta == pytest.approx(0.05)
-
-    def test_speed_validation(self):
-        with pytest.raises(ValueError):
-            speed_gaps([0.0, 0.5])  # zero speed
-        with pytest.raises(ValueError):
-            speed_gaps([0.5, 0.3])  # not increasing
-        with pytest.raises(ValueError):
-            speed_gaps([])
