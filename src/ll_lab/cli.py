@@ -37,7 +37,6 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from struct import error as struct_error
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,7 +128,7 @@ def _cmd_modulate_track(args: argparse.Namespace) -> int:
             raise ConfigError(f"{args.trajectory}: no such trajectory file")
         try:
             traj = load_trajectory(args.trajectory)
-        except (ValueError, struct_error) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{args.trajectory}: {exc}") from exc
     except ConfigError as exc:
         return _fail_config(str(exc))
@@ -158,6 +157,8 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
         return _fail_config(f"--amplitude must be positive, got {args.amplitude}")
     if args.runs < 1:
         return _fail_config(f"--runs must be >= 1, got {args.runs}")
+    if args.seed < 0:
+        return _fail_config(f"--seed must be >= 0, got {args.seed}")
     if args.t_end <= 0.0:
         return _fail_config(f"--t-end must be positive, got {args.t_end}")
 

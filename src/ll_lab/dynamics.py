@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -379,65 +379,66 @@ def evolve(state: State, config: IntegratorConfig,
 
 _MAGIC = b"LLTRAJ01"
 _FRAME_TAGS = {("hydro", 0): 0, ("spin", 0): 1, ("spin", 1): 3}
+_HEADER = np.dtype([("magic", "S8"), ("n", "<u8"), ("dx", "<f8"), ("x_min", "<f8"),
+                    ("tag", "<u8"), ("count", "<u8"), ("errlen", "<u8")])
+
+
+def _record(frame: str, n: int) -> np.dtype:
+    """A snapshot record: t, then the fields as rows (v, w) or m as (n, 3)."""
+    return np.dtype([("t", "<f8"), ("fields", "<f8", (2, n) if frame == "hydro" else (n, 3))])
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as little-endian binary plus a CSV snapshot index.
 
-    Layout: magic, header (n, dx, x_min, frame tag, snapshot count, error
-    string), then per snapshot the time followed by the raw fields.  The
-    index file ``<path>.index.csv`` lists snapshot number, time, and byte
-    offset of each record.
+    Layout: the ``_HEADER`` record (magic, n, dx, x_min, frame tag,
+    snapshot count, error length), the error string, then one ``_record``
+    per snapshot.  The index file ``<path>.index.csv`` lists snapshot
+    number, time, and byte offset of each record.
     """
     path = str(path)
+    grid = traj.grid
     sector = traj.states[0].phase_sector if traj.frame == "spin" else 0
-    tag = _FRAME_TAGS[(traj.frame, sector)]
     err = (traj.error or "").encode("utf-8")
-    rows = []
+    header = np.array((_MAGIC, grid.n, grid.dx, grid.x_min, _FRAME_TAGS[(traj.frame, sector)],
+                       len(traj), len(err)), dtype=_HEADER)
+    records = np.empty(len(traj), dtype=_record(traj.frame, grid.n))
+    records["t"] = traj.times
+    records["fields"] = [(s.v.values, s.w.values) if traj.frame == "hydro" else s.m
+                         for s in traj.states]
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QddQQQ", traj.grid.n, traj.grid.dx, traj.grid.x_min,
-                             tag, len(traj), len(err)))
+        fh.write(header.tobytes())
         fh.write(err)
-        for i, (t, snap) in enumerate(zip(traj.times, traj.states)):
-            rows.append((i, t, fh.tell()))
-            fh.write(struct.pack("<d", t))
-            if traj.frame == "hydro":
-                fh.write(np.ascontiguousarray(snap.v.values, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(snap.w.values, dtype="<f8").tobytes())
-            else:
-                fh.write(np.ascontiguousarray(snap.m, dtype="<f8").tobytes())
+        fh.write(records.tobytes())
+    start = header.itemsize + len(err)
     with open(path + ".index.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snapshot", "t", "byte_offset"])
-        for i, t, off in rows:
-            writer.writerow([i, f"{t:.17g}", off])
+        writer.writerows([i, f"{t:.17g}", start + i * records.itemsize]
+                         for i, t in enumerate(traj.times))
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory`."""
+    """Read a trajectory written by :func:`save_trajectory`; a file too
+    short for its header or its records raises ValueError."""
     with open(str(path), "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a trajectory file: bad magic {magic!r}")
-        n, dx, x_min, tag, count, errlen = struct.unpack("<QddQQQ", fh.read(48))
+        header = fh.read(_HEADER.itemsize)
+        if header[:len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"not a trajectory file: bad magic {header[:len(_MAGIC)]!r}")
+        _, n, dx, x_min, tag, count, errlen = np.frombuffer(header, _HEADER, count=1).item()
         error = fh.read(errlen).decode("utf-8") or None
         frames = {v: k for k, v in _FRAME_TAGS.items()}
         if tag not in frames:
             raise ValueError(f"unknown frame tag {tag}")
         frame, sector = frames[tag]
-        grid = Grid(n=int(n), dx=dx, x_min=x_min)
-        times = []
-        states = []
-        for _ in range(count):
-            (t,) = struct.unpack("<d", fh.read(8))
-            times.append(t)
-            if frame == "hydro":
-                v = np.frombuffer(fh.read(8 * grid.n), dtype="<f8")
-                w = np.frombuffer(fh.read(8 * grid.n), dtype="<f8")
-                states.append(HydroState.from_arrays(grid, v, w))
-            else:
-                m = np.frombuffer(fh.read(24 * grid.n), dtype="<f8").reshape(grid.n, 3)
-                states.append(SpinState(grid, m, sector))
-    return Trajectory(frame=frame, grid=grid, times=np.array(times),
-                      states=tuple(states), error=error)
+        grid = Grid(n=n, dx=dx, x_min=x_min)
+        record = _record(frame, n)
+        if os.fstat(fh.fileno()).st_size < fh.tell() + count * record.itemsize:
+            raise ValueError(f"truncated trajectory file: {count} snapshots do not fit")
+        records = np.fromfile(fh, record, count=count)
+    if frame == "hydro":
+        states = tuple(HydroState.from_arrays(grid, v, w) for v, w in records["fields"])
+    else:
+        states = tuple(SpinState(grid, m, sector) for m in records["fields"])
+    return Trajectory(frame=frame, grid=grid, times=records["t"].copy(),
+                      states=states, error=error)

@@ -16,7 +16,9 @@ function of c alone: :class:`ChiCache` knows it at the nodes c_k = k h of a
 fixed speed lattice and interpolates linearly within the cell that holds
 c.  With S(h1, h2) = (h1, -h2), Q_{-c} = S Q_c and H_{-c} = S H_c S exactly,
 so chi_{-c} = S chi_c: a Davidson solve is made once per |c_k|, at the
-positive node, and the negative node is its mirror image.  Each point is
+positive node, whose rfft the cache keeps; the spectrum of the negative
+node is that rfft with its chi_w row negated, the rfft of S chi bit for
+bit.  Each point is
 evaluated by one residual pass over all N solitons at once: (Q_j, Q_j')
 from one cosh and one tanh over (N, n), eps, and F from the N pairings of
 eps with Q_j' and, by Parseval, the 2N pairings of one rfft of eps with
@@ -168,17 +170,16 @@ def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
 # lowest eigenpairs: preconditioned block Davidson with thick restart
 # ---------------------------------------------------------------------------
 
-def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
-                     tol_first: float, tol_rest: float, maxiter: int):
-    """Lowest ``nev`` Ritz pairs of a symmetric operator on column vectors.
+def _davidson_lowest(apply_block, precond_block, x0: np.ndarray):
+    """Lowest CHI_NEV Ritz pairs of a symmetric operator on column vectors.
 
     ``apply_block(X)`` applies the operator to every column of X, and
     ``precond_block(R, thetas)`` preconditions each residual column R[:, j]
     for its Ritz value thetas[j].
 
-    Convergence demands the first residual below tol_first and the remaining
-    tracked residuals below tol_rest (Euclidean norms, unit Ritz vectors).
-    The basis restarts when it would outgrow CHI_MAXDIM columns.
+    Convergence demands the first residual below CHI_TOL_FIRST and the
+    others below CHI_TOL_CERTIFY (Euclidean norms, unit Ritz vectors) within
+    CHI_MAXITER iterations; the basis restarts at CHI_MAXDIM columns.
     Returns (thetas, vectors, residual_norms, iterations).
     """
 
@@ -199,23 +200,23 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
     image[:, :dim] = apply_block(V)
     gram = basis[:, :dim].T @ image[:, :dim]
     last = None
-    for it in range(1, maxiter + 1):
+    for it in range(1, CHI_MAXITER + 1):
         V, HV = basis[:, :dim], image[:, :dim]
         thetas, S = np.linalg.eigh(0.5 * (gram + gram.T))
-        m = min(nev, len(thetas))
+        m = min(CHI_NEV, len(thetas))
         U = V @ S[:, :m]
         HU = HV @ S[:, :m]
         R = HU - U * thetas[:m]
         res = np.sqrt(np.sum(R * R, axis=0))
         last = (thetas[:m], U, res, it)
-        tols = np.full(m, tol_rest)
-        tols[0] = tol_first
+        tols = np.full(m, CHI_TOL_CERTIFY)
+        tols[0] = CHI_TOL_FIRST
         if np.all(res <= tols):
             return last
         unconverged = res > tols
         W = precond_block(R[:, unconverged], thetas[:m][unconverged])
         if dim + W.shape[1] > CHI_MAXDIM:
-            dim = min(8 * nev, dim)
+            dim = min(8 * CHI_NEV, dim)
             basis[:, :dim] = V @ S[:, :dim]
             image[:, :dim] = HV @ S[:, :dim]
             V, HV = basis[:, :dim], image[:, :dim]
@@ -233,7 +234,7 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray, nev: int,
 
 @dataclass(frozen=True, eq=False)
 class NegativeMode:
-    """The certified negative direction of H_c.
+    """The certified negative direction of H_c, as solved at one node.
 
     ``chi`` is L^2-normalized with positive overlap against (v_c, 0);
     ``rayleigh`` is its (negative) Rayleigh quotient, ``residual`` the
@@ -250,26 +251,6 @@ class NegativeMode:
     residual: float
     negative_count: int
     iterations: int
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        """rfft of the rows (chi_v, chi_w)."""
-        return np.fft.rfft(np.stack([self.chi[0].values, self.chi[1].values]))
-
-    def mirrored(self) -> "NegativeMode":
-        """The negative direction at -c, S chi_c with S(h1, h2) = (h1, -h2).
-
-        Q_{-c} = S Q_c, E is even under S and P odd, so H_{-c} = S H_c S; in
-        :class:`HessianOperator` four coefficients are even in c and the
-        coupling -2 v w - c is odd, so the identity holds bit for bit.  S is
-        orthogonal and keeps the overlap with (v_c, 0), so the Rayleigh
-        quotient, the residual and the count carry over; the image costs no
-        Davidson iteration.
-        """
-        chi = (self.chi[0], RealField(self.grid, -self.chi[1].values))
-        return NegativeMode(c=-self.c, grid=self.grid, center=self.center, chi=chi,
-                            rayleigh=self.rayleigh, residual=self.residual,
-                            negative_count=self.negative_count, iterations=0)
 
 
 def negative_mode(c: float, grid: Grid, center: Optional[float] = None) -> NegativeMode:
@@ -327,9 +308,7 @@ def negative_mode(c: float, grid: Grid, center: Optional[float] = None) -> Negat
         lowpass_block(dv0, dw0),
         precond_block(rand, np.zeros(2)),
     ])
-    thetas, U, res, iters = _davidson_lowest(apply_block, precond_block, x0, nev=3,
-                                             tol_first=CHI_TOL_FIRST,
-                                             tol_rest=CHI_TOL_CERTIFY, maxiter=CHI_MAXITER)
+    thetas, U, res, iters = _davidson_lowest(apply_block, precond_block, x0)
     if res[0] > CHI_TOL_FIRST:
         raise ModulationError(
             f"eigensolver did not certify the lowest pair: residual {res[0]:.3e} "
@@ -361,9 +340,9 @@ CHI_LATTICE_STEP = 0.02
 """Spacing h of the speed lattice c_k = k h on which :class:`ChiCache`
 solves the negative directions."""
 
-# negative_mode's Davidson: residual of the lowest pair, of a certified pair,
-# the iteration cap, and the basis size at which it restarts
-CHI_TOL_FIRST, CHI_TOL_CERTIFY, CHI_MAXITER = 2e-7, 1e-4, 200
+# negative_mode's Davidson: residuals of the lowest and of a certified pair,
+# the iteration cap, the Ritz pairs tracked, and the basis size of a restart
+CHI_TOL_FIRST, CHI_TOL_CERTIFY, CHI_MAXITER, CHI_NEV = 2e-7, 1e-4, 200, 3
 CHI_MAXDIM = 90
 
 
@@ -375,50 +354,50 @@ class ChiCache:
     the linear interpolant chi_k + (c - c_k) (chi_{k+1} - chi_k)/h on the
     cell that holds c, so d chi/dc is the slope of the cell.
     :func:`negative_mode` is solved once per |c_k|, at the positive node
-    k >= 1; a node k <= -1 is its mirror image chi_{-|c_k|} = S chi_{|c_k|}
-    (:meth:`NegativeMode.mirrored`).  The positive node is solved whichever
-    sign is looked up first, so chi depends on c alone and not on the
-    order of the lookups.  Nodes keep to h <= |c_k| <= 1 - h: where a
-    bracketing node would leave that range, the two nearest admissible
-    nodes of the same sign are used (linear extrapolation).  The interpolant
-    is not renormalized; its L^2 norm is 1 - O(h^2), and the orthogonality
-    conditions are homogeneous in chi.  ``nodes`` lists the solved
-    (positive) nodes by speed, ``solves`` counts them and
-    ``davidson_iters`` totals their Davidson iterations.
+    k >= 1, and the rfft of its rows (chi_v, chi_w) is kept.  A node
+    k <= -1 is the mirror image S chi_{|c_k|} (H_{-c} = S H_c S holds bit
+    for bit in :class:`HessianOperator`: the coupling -2 v w - c is odd in
+    c and the other coefficients even): its spectrum is the kept one with
+    the chi_w row negated, equal bit for bit to the rfft of S chi.  The
+    positive node is solved whichever sign is looked up first, so chi
+    depends on c alone and not on the order of the lookups.  Nodes keep to
+    h <= |c_k| <= 1 - h: where a bracketing node would leave that range,
+    the two nearest admissible nodes of the same sign are used (linear
+    extrapolation).  The interpolant is not renormalized; its L^2 norm is
+    1 - O(h^2), and the orthogonality conditions are homogeneous in chi.
+    ``nodes`` lists the solves, at the positive nodes, by speed.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.center = grid.x_min + 0.5 * grid.period
-        self._nodes: dict[int, NegativeMode] = {}
-        self._cells: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._nodes: dict[int, tuple[NegativeMode, np.ndarray]] = {}
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def nodes(self) -> list[NegativeMode]:
-        return [self._nodes[k] for k in sorted(self._nodes)]
+        return [self._nodes[k][0] for k in sorted(self._nodes)]
 
-    @property
-    def solves(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def davidson_iters(self) -> int:
-        return sum(mode.iterations for mode in self._nodes.values())
-
-    def _node(self, k: int) -> NegativeMode:
-        """chi at c_k: solved at |k|, and mirrored for k <= -1."""
-        mode = self._nodes.get(abs(k))
-        if mode is None:
+    def _spectrum(self, k: int) -> np.ndarray:
+        """The rfft of the rows (chi_v, chi_w) at c_k: solved at |k|, and
+        mirrored for k <= -1."""
+        if abs(k) not in self._nodes:
             mode = negative_mode(abs(k) * CHI_LATTICE_STEP, self.grid)
-            self._nodes[abs(k)] = mode
-        return mode if k > 0 else mode.mirrored()
+            rows = np.stack([mode.chi[0].values, mode.chi[1].values])
+            self._nodes[abs(k)] = (mode, np.fft.rfft(rows))
+        spectrum = self._nodes[abs(k)][1]
+        if k > 0:
+            return spectrum
+        # 0 - z, not -z: the zero imaginary parts of the DC and Nyquist bins
+        # stay +0, as in the rfft of S chi
+        return np.stack([spectrum[0], 0.0 - spectrum[1]])
 
-    def _cell(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """(c_k, chi spectrum at c_k, slope) of the cell [c_k, c_k+1]."""
+    def _cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(chi spectrum at c_k, slope) of the cell [c_k, c_k+1]."""
         cell = self._cells.get(k)
         if cell is None:
-            lo, hi = self._node(k), self._node(k + 1)
-            cell = (lo.c, lo._spectrum, (hi._spectrum - lo._spectrum) / CHI_LATTICE_STEP)
+            lo, hi = self._spectrum(k), self._spectrum(k + 1)
+            cell = (lo, (hi - lo) / CHI_LATTICE_STEP)
             self._cells[k] = cell
         return cell
 
@@ -431,8 +410,8 @@ class ChiCache:
         top = round(1.0 / CHI_LATTICE_STEP) - 1   # the last admissible node index
         k = math.floor(c / CHI_LATTICE_STEP)
         k = min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
-        c_lo, lo, slope = self._cell(k)
-        return lo + (c - c_lo) * slope, slope
+        lo, slope = self._cell(k)
+        return lo + (c - k * CHI_LATTICE_STEP) * slope, slope
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +451,6 @@ class ModulationResult:
 
     speeds: np.ndarray
     centers: np.ndarray
-    signs: np.ndarray
     epsilon: HydroState
     residual_norm: float
     orthogonality: float
@@ -694,8 +672,7 @@ def _modulate_raw(sv: np.ndarray, sw: np.ndarray, grid: Grid,
     if ortho > 1e-10 * (1.0 + eps_norm):
         raise ModulationError(
             f"no convergence: orthogonality residual {ortho:.3e} after {iters} iterations")
-    result = ModulationResult(speeds=p[:nsol].copy(), centers=p[nsol:].copy(),
-                              signs=np.array(signs, dtype=int), epsilon=epsilon,
+    result = ModulationResult(speeds=p[:nsol].copy(), centers=p[nsol:].copy(), epsilon=epsilon,
                               residual_norm=eps_norm, orthogonality=ortho,
                               newton_iters=iters, condition_evals=evals,
                               backtracks=backtracks, jacobian_builds=builds)
@@ -742,7 +719,6 @@ class ModulationTrack:
     times: np.ndarray
     speeds: np.ndarray        # (T, N)
     centers: np.ndarray       # (T, N)
-    signs: np.ndarray
     eps_norms: np.ndarray
     orthogonality: np.ndarray
     newton_iters: np.ndarray
@@ -840,8 +816,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
         builds += result.jacobian_builds
         warm_speeds = result.speeds
         warm_centers = result.centers
-    return ModulationTrack(times=times[:done], speeds=speeds[:done],
-                           centers=centers[:done], signs=guess.signs.copy(),
+    return ModulationTrack(times=times[:done], speeds=speeds[:done], centers=centers[:done],
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
                            newton_iters=iters[:done], error=error,
                            condition_evals=evals, backtracks=backtracks,

@@ -90,6 +90,8 @@ class Perturbation:
             raise ConfigError(f"amplitude: must be > 0 for kind {self.kind!r}")
         if self.index < 0:
             raise ConfigError(f"index: must be >= 0, got {self.index}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -462,7 +464,8 @@ def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
 
     The comparison runs along frozen constant-speed rays through the sampled
     (b, b') so the weight path is exact on both sides of the difference.
-    Spot checks use the first few interior snapshots: the rate formula is a
+    Spot checks use snapshots 1, 2 and 3, so the caller needs four tracked
+    snapshots.  They are the first interior snapshots: the rate formula is a
     statement on the line, and on the torus the step weight has to jump back
     to zero at the antipode of its center.  Once fast radiation has wrapped
     around and crosses that seam, the measured rate picks up a genuine flux
@@ -470,8 +473,6 @@ def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
     no implementation of the line formula can reproduce.  Early snapshots
     keep the seam quiet while still exercising genuinely evolved data.
     """
-    if not cfg.diagnostics.y0_list or len(times) < 4:
-        return 0.0
     dt_fd = min(cfg.integrator.dt, 1e-4)
     worst = 0.0
     for i in (1, 2, 3):
@@ -594,7 +595,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         paths, rates = _paths(cfg, track)
         # the track's rows are the snapshots the diagnostics cover
         diag = _collect_diagnostics(cfg, track.times, traj.states, paths, nu)
-        if cfg.diagnostics.y0_list and len(track.times) >= 2:
+        if cfg.diagnostics.y0_list and len(track.times) >= 4:
             rate_fd_err = _rate_fd_check(cfg, track.times, traj.states, paths, rates, nu)
     timings["diagnostics"] = time.perf_counter() - t0
 

@@ -25,11 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (
-    VACUUM_GUARD,
     Grid,
     HydroState,
     SpinState,
-    VacuumBreakdown,
     _check_vacuum,
     antiderivative_array,
     complex_deriv_array,
@@ -330,8 +328,7 @@ def extract_hydro(state: SpinState) -> HydroState:
     """
     mc = state.transverse
     rho2 = np.abs(mc) ** 2
-    if float(np.min(rho2)) < VACUUM_GUARD:
-        raise VacuumBreakdown("transverse spin component below the vacuum guard")
+    _check_vacuum(rho2)
     dmc = complex_deriv_array(mc, state.grid, 1, state.phase_sector)
     w = np.imag(np.conj(mc) * dmc) / rho2
     return HydroState.from_arrays(state.grid, state.m[:, 2], w)

@@ -92,10 +92,13 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
     pert_obj = _expect_object(top["perturbation"], f"{path}.perturbation",
                               required=("kind",),
                               optional=("amplitude", "seed", "index"))
+    seed = _integer(pert_obj.get("seed", 0), f"{path}.perturbation.seed")
+    if seed < 0:
+        raise ConfigError(f"{path}.perturbation.seed: must be >= 0, got {seed}")
     perturbation = Perturbation(
         kind=_string(pert_obj["kind"], f"{path}.perturbation.kind"),
         amplitude=_real(pert_obj.get("amplitude", 0.0), f"{path}.perturbation.amplitude"),
-        seed=_integer(pert_obj.get("seed", 0), f"{path}.perturbation.seed"),
+        seed=seed,
         index=_integer(pert_obj.get("index", 0), f"{path}.perturbation.index"))
 
     grid_obj = _expect_object(top["grid"], f"{path}.grid",

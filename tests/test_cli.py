@@ -140,6 +140,14 @@ class TestSimulate:
         assert "integrator.dt" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exit_two_nothing_written(self, tmp_path, capsys):
+        data = copy.deepcopy(TINY)
+        data["perturbation"] = {"kind": "random_smooth", "amplitude": 0.01, "seed": -1}
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, data)), "--out", str(out)]) == 2
+        assert "perturbation.seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_runs_every_config(self, tmp_path):
         a = copy.deepcopy(TINY)
         a["name"] = "first"
@@ -386,6 +394,12 @@ class TestVirialAudit:
     def test_bad_amplitude_exit_two(self, capsys):
         assert main(["virial-audit", "--amplitude", "-0.5", "--runs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["virial-audit", "--seed", "-1", "--runs", "1", "--out", str(out)]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("amplitude,needle", [
         (20.0, "run 0: non-vacuum constraint violated"),   # max|v| = 1.58

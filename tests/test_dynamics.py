@@ -1,6 +1,7 @@
 """Time integration: right-hand sides, the J/L/B decomposition, RK4 stepping,
 trajectory bookkeeping, and the on-disk format."""
 
+import csv
 import math
 
 import numpy as np
@@ -386,6 +387,45 @@ class TestTrajectoryIO:
         assert index.exists()
         lines = index.read_text().strip().splitlines()
         assert len(lines) == len(traj) + 1
+
+    @pytest.mark.parametrize("frame", ["hydro", "spin"])
+    def test_index_offsets_are_record_starts(self, frame, tmp_path):
+        """Offset i is the header length (56 bytes and the error string)
+        plus i records of 8 bytes of t and the raw fields; the spin case is
+        a single soliton, in phase sector 1."""
+        traj = self._make_traj(frame)
+        traj = Trajectory(frame=traj.frame, grid=traj.grid, times=traj.times,
+                          states=traj.states, error="BlowupError at t = 0.01: test")
+        path = tmp_path / "run.traj"
+        save_trajectory(traj, path)
+        n = traj.grid.n
+        itemsize = 8 + 8 * (2 * n if frame == "hydro" else 3 * n)
+        header = 56 + len(traj.error)
+        with open(tmp_path / "run.traj.index.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        data = path.read_bytes()
+        assert len(data) == header + len(traj) * itemsize
+        for i, (snapshot, t, offset) in enumerate(rows):
+            assert (int(snapshot), int(offset)) == (i, header + i * itemsize)
+            assert float(t) == traj.times[i]
+            assert np.frombuffer(data, "<f8", count=1, offset=int(offset))[0] == traj.times[i]
+        back = load_trajectory(path)
+        if frame == "spin":
+            assert back.states[0].phase_sector == 1
+        assert back.error == traj.error
+
+    def test_truncated_file_rejected(self, tmp_path):
+        """A file cut short inside a record or inside the header, or whose
+        header counts more snapshots than it holds, is a ValueError."""
+        traj = self._make_traj("hydro")
+        path = tmp_path / "run.traj"
+        save_trajectory(traj, path)
+        data = path.read_bytes()
+        count = np.array(10**12, dtype="<u8").tobytes()   # bytes 40-47 of the header
+        for broken in (data[:-8], data[:40], data[:40] + count + data[48:]):
+            path.write_bytes(broken)
+            with pytest.raises(ValueError):
+                load_trajectory(path)
 
     def test_error_string_survives(self, tmp_path):
         traj = self._make_traj("hydro")

@@ -466,7 +466,7 @@ class TestConditionsJacobian:
         # a node c_k < 0 is the mirror image of node -k
         h = CHI_LATTICE_STEP
         nodes = {abs(math.floor(c / h) + i) for c in p0[:len(params)] for i in (0, 1)}
-        assert cache.solves == len(nodes)
+        assert len(cache.nodes) == len(nodes)
 
 
 class TestTrackModulation:
@@ -613,12 +613,12 @@ class TestChiCache:
         next cell solves only the node it adds."""
         cache = ChiCache(self.grid)
         cache.mode_for(0.605)
-        assert cache.solves == 2
+        assert len(cache.nodes) == 2
         cache.mode_for(0.617)
-        assert cache.solves == 2
+        assert len(cache.nodes) == 2
         cache.mode_for(0.625)
-        assert cache.solves == 3
-        assert cache.davidson_iters >= cache.solves
+        assert len(cache.nodes) == 3
+        assert sum(node.iterations for node in cache.nodes) >= len(cache.nodes)
 
     @pytest.mark.parametrize("order", [(-0.41, 0.41), (0.41, -0.41)])
     def test_lookup_order_does_not_matter(self, order):
@@ -630,7 +630,7 @@ class TestChiCache:
         for c in (-0.41, 0.41):
             for a, b in zip(got[c], want[c]):
                 assert a.tobytes() == b.tobytes()
-        assert used.solves == fresh.solves == 2
+        assert len(used.nodes) == len(fresh.nodes) == 2
         assert [node.c for node in used.nodes] == [0.4, 0.42]
         for a, b in zip(used.nodes, fresh.nodes):
             assert (a.rayleigh, a.residual, a.iterations) == (b.rayleigh, b.residual,
@@ -639,22 +639,26 @@ class TestChiCache:
             assert a.chi[1].values.tobytes() == b.chi[1].values.tobytes()
 
     def test_mirrored_node_is_certified(self):
-        """A node c_k < 0 is S chi_{|c_k|}; its eigen-residual under the
-        low-pass H_{c_k}, recomputed here, meets the solver's 2e-7."""
+        """The spectrum of a node c_k < 0 is that of S chi_{|c_k|}, equal bit
+        for bit to the rfft of S chi; transformed back, its eigen-residual
+        under the low-pass H_{c_k}, recomputed here, meets the solver's
+        2e-7 and its Rayleigh quotient is the solved node's."""
         cache = ChiCache(self.grid)
-        mode = cache._node(-20)
-        assert mode.c == -0.4
-        assert cache.solves == 1 and cache.nodes[0].c == 0.4
+        mirror = cache._spectrum(-20)
+        assert [node.c for node in cache.nodes] == [0.4]
+        node = cache.nodes[0]
+        s_chi = np.stack([node.chi[0].values, -node.chi[1].values])
+        assert mirror.tobytes() == np.fft.rfft(s_chi).tobytes()
         grid, n = self.grid, self.grid.n
-        op = HessianOperator(mode.c, grid)
-        x = np.concatenate([mode.chi[0].values, mode.chi[1].values])
+        op = HessianOperator(-20 * CHI_LATTICE_STEP, grid)
+        x = np.fft.irfft(mirror, n=n).reshape(-1)
         x /= np.linalg.norm(x)
         h1, h2 = op.apply_arrays(x[:n], x[n:])
         hx = np.concatenate([lowpass_array(h1, grid), lowpass_array(h2, grid)])
         theta = float(x @ hx)
         assert theta < 0.0
         assert np.linalg.norm(hx - theta * x) <= 2e-7
-        assert theta == pytest.approx(mode.rayleigh, abs=1e-10)
+        assert theta == pytest.approx(node.rayleigh, abs=1e-10)
 
     def test_node_speed_gives_the_node_mode(self):
         node = negative_mode(0.6, self.grid)

@@ -96,6 +96,9 @@ MALFORMED = [
     ({"perturbation__width": 5.0}, "perturbation.width: unknown key"),
     # two offsets that print alike would write one column name twice
     ({"diagnostics__y0_list": [5.0, 5.0000001]}, "config.diagnostics.y0_list: offsets name"),
+    # numpy's generator takes no negative seed
+    ({"perturbation__kind": "random_smooth", "perturbation__amplitude": 0.01,
+      "perturbation__seed": -1}, "config.perturbation.seed: must be >= 0"),
 ]
 
 
@@ -413,6 +416,15 @@ class TestRunScenario:
         assert "rate_fd_match" in names
         assert "eps_sup" not in names  # unperturbed: no amplitude to compare to
         assert report.all_passed, [(v.name, v.measured) for v in report.verdicts]
+
+    def test_rate_check_needs_four_tracked_snapshots(self):
+        """The rate spot checks take snapshots 1, 2 and 3: a run that tracks
+        three has no rate_fd_match verdict, and the five of BASE have one."""
+        report = run_scenario(scenario_from_dict(variant(integrator__t_end=0.5)))
+        assert report.error is None
+        assert len(report.track.times) == 3
+        assert "rate_fd_match" not in {v.name for v in report.verdicts}
+        assert "monotonicity_y5" in {v.name for v in report.verdicts}
 
     def test_zero_length_run(self):
         """t_end = 0 tracks one snapshot, which has samples but no rates."""
