@@ -1,26 +1,25 @@
 """Command-line surface: scenario batches, modulation tracking of saved
-trajectories, the monotonicity and virial audits, and soliton tables.
+trajectories, the virial audit, and soliton tables.
 
 Every subcommand but ``soliton-table`` records its run as one
 :class:`~ll_lab.scenarios.RunReport` and writes it with ``write_report`` to
 ``<out>/<name>/report.json`` (keys scenario, config, verdicts, timings,
 counters, chi_nodes, threads, error).  Exit codes:
 
-- ``simulate``: 0 when every scenario passes every verdict; 1 when any
+- ``simulate``: 0 when every scenario passes every verdict, the
+  ``monotonicity_y<y0>`` and ``rate_fd_match`` ones included; 1 when any
   scenario fails a verdict or stops on a runtime failure (dynamics
   breakdown, loss of modulation, a datum too near vacuum for dt, any other
   exception), each report still written; 2 for a missing or malformed
   config (a dt over the step bound at the soliton sum, or not dividing
   t_end, included) or duplicate scenario names, with nothing written.
-- ``monotonicity-audit``: as ``simulate`` for its one scenario, judged on
-  the localized-momentum and rate verdicts only; 2 also when
-  ``diagnostics.y0_list`` is empty.
 - ``modulate-track``: 0 when every snapshot is decomposed and the Newton
   iteration and orthogonality verdicts pass; 1 when the decomposition is
   lost at some snapshot (the report and the rows before it are written) or
-  a verdict fails; 2 for a missing or unreadable trajectory or guess file,
-  with nothing written.  The guess file is a scenario's ``solitons``
-  section, read as strictly as a scenario config.
+  a verdict fails; 2 for a missing or unreadable trajectory or guess file
+  (a trajectory cut inside its header, error string or records, or one
+  with no snapshots, included), with nothing written.  The guess file is a
+  scenario's ``solitons`` section, read as strictly as a scenario config.
 - ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
   run breaks down (the runs before it are written) or a margin is negative;
   2 for an invalid option, or a run whose datum is not a non-vacuum state
@@ -35,7 +34,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -104,23 +102,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_monotonicity_audit(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_scenario(args.config)
-    except ConfigError as exc:
-        return _fail_config(str(exc))
-    if not cfg.diagnostics.y0_list:
-        return _fail_config(f"{args.config}: diagnostics.y0_list must be non-empty "
-                            "for a monotonicity audit")
-    report = _run(cfg)
-    audited = tuple(v for v in report.verdicts
-                    if v.name.startswith("monotonicity") or v.name == "rate_fd_match")
-    report = replace(report, verdicts=audited)
-    write_report(report, args.out)
-    _print_report(report)
-    return 0 if report.all_passed else 1
-
-
 def _cmd_modulate_track(args: argparse.Namespace) -> int:
     try:
         guess = load_config(MultiSolitonConfig, args.guess)
@@ -130,6 +111,8 @@ def _cmd_modulate_track(args: argparse.Namespace) -> int:
             traj = load_trajectory(args.trajectory)
         except ValueError as exc:
             raise ConfigError(f"{args.trajectory}: {exc}") from exc
+        if len(traj) == 0:
+            raise ConfigError(f"{args.trajectory}: trajectory holds no snapshots")
     except ConfigError as exc:
         return _fail_config(str(exc))
 
@@ -252,12 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "params [{c, a, s}] and min_separation")
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.set_defaults(func=_cmd_modulate_track)
-
-    p = sub.add_parser("monotonicity-audit",
-                       help="run a scenario and judge only the localized-momentum checks")
-    p.add_argument("config", metavar="config.json")
-    p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.set_defaults(func=_cmd_monotonicity_audit)
 
     p = sub.add_parser("virial-audit",
                        help="check U' >= 1/4 ||.||_X^2 along seeded small-data runs")

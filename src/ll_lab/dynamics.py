@@ -59,6 +59,7 @@ from .grid import (
     SpinState,
     VacuumBreakdown,
     _check_vacuum,
+    deriv_array,
 )
 
 FieldPair = tuple[RealField, RealField]
@@ -188,7 +189,7 @@ def rhs_hll(state: HydroState) -> FieldPair:
 def apply_L(state: HydroState) -> FieldPair:
     """Vacuum linearization L(v, w) = (-v + v'', -w)."""
     grid = state.grid
-    d2v = np.fft.irfft(-grid.k2 * np.fft.rfft(state.v.values), n=grid.n)
+    d2v = deriv_array(state.v.values, grid, 2)
     return RealField(grid, -state.v.values + d2v), RealField(grid, -state.w.values)
 
 
@@ -420,12 +421,15 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`; a file too
-    short for its header or its records raises ValueError."""
+    short for its header, its error string or its records raises ValueError."""
     with open(str(path), "rb") as fh:
         header = fh.read(_HEADER.itemsize)
         if header[:len(_MAGIC)] != _MAGIC:
             raise ValueError(f"not a trajectory file: bad magic {header[:len(_MAGIC)]!r}")
         _, n, dx, x_min, tag, count, errlen = np.frombuffer(header, _HEADER, count=1).item()
+        size = os.fstat(fh.fileno()).st_size
+        if size < fh.tell() + errlen:
+            raise ValueError(f"truncated trajectory file: {errlen}-byte error string cut")
         error = fh.read(errlen).decode("utf-8") or None
         frames = {v: k for k, v in _FRAME_TAGS.items()}
         if tag not in frames:
@@ -433,12 +437,13 @@ def load_trajectory(path) -> Trajectory:
         frame, sector = frames[tag]
         grid = Grid(n=n, dx=dx, x_min=x_min)
         record = _record(frame, n)
-        if os.fstat(fh.fileno()).st_size < fh.tell() + count * record.itemsize:
+        if size < fh.tell() + count * record.itemsize:
             raise ValueError(f"truncated trajectory file: {count} snapshots do not fit")
-        records = np.fromfile(fh, record, count=count)
-    if frame == "hydro":
-        states = tuple(HydroState.from_arrays(grid, v, w) for v, w in records["fields"])
-    else:
-        states = tuple(SpinState(grid, m, sector) for m in records["fields"])
-    return Trajectory(frame=frame, grid=grid, times=records["t"].copy(),
-                      states=states, error=error)
+        make = ((lambda f: HydroState.from_arrays(grid, *f)) if frame == "hydro"
+                else (lambda f: SpinState(grid, f, sector)))
+        times, states = np.empty(count), []
+        for start in range(0, count, 64):   # hold the snapshots once, plus 64 records
+            block = np.fromfile(fh, record, count=min(64, count - start))
+            times[start:start + len(block)] = block["t"]
+            states.extend(map(make, block["fields"]))
+    return Trajectory(frame=frame, grid=grid, times=times, states=tuple(states), error=error)

@@ -219,16 +219,11 @@ class SpinState:
     phase_sector: int = 0
 
     def __post_init__(self) -> None:
-        m = np.array(self.m, dtype=float, copy=True)
-        if m.shape != (self.grid.n, 3):
-            raise ValueError(f"m must have shape ({self.grid.n}, 3), got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("spin field contains non-finite entries")
+        m = _frozen_array(self.m, (self.grid.n, 3))
         norms = np.sqrt(np.sum(m * m, axis=1))
         err = float(np.max(np.abs(norms - 1.0)))
         if err > 1e-12:
             raise ValueError(f"spin field is not unit-length: max deviation {err:.3e}")
-        m.flags.writeable = False
         object.__setattr__(self, "m", m)
         if self.phase_sector not in (0, 1):
             raise ValueError(f"phase_sector must be 0 or 1, got {self.phase_sector}")

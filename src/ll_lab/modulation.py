@@ -67,7 +67,6 @@ from .solitons import (
     ProfileJet,
     _sum_profile_arrays,
     as_hydro,
-    soliton_hydro,
     soliton_hydro_jet,
     soliton_nu,
 )
@@ -118,15 +117,18 @@ class HessianOperator:
             object.__setattr__(self, "center", self.grid.x_min + 0.5 * self.grid.period)
 
     @cached_property
-    def profile(self) -> tuple[np.ndarray, np.ndarray]:
-        xi = self.grid.periodic_offset(self.grid.x, self.center)
-        return soliton_hydro(self.c, xi)
+    def _jet(self) -> ProfileJet:
+        return soliton_hydro_jet(self.c, self.grid.periodic_offset(self.grid.x, self.center))
 
-    @cached_property
-    def profile_derivative(self) -> tuple[np.ndarray, np.ndarray]:
-        xi = self.grid.periodic_offset(self.grid.x, self.center)
-        dv, dw = soliton_hydro_jet(self.c, xi).dx
-        return dv, dw
+    @property
+    def profile(self) -> np.ndarray:
+        """Q_c at the grid points, as a (2, n) array (v, w)."""
+        return self._jet.q
+
+    @property
+    def profile_derivative(self) -> np.ndarray:
+        """Q_c' at the grid points, as a (2, n) array (v', w')."""
+        return self._jet.dx
 
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, ...]:

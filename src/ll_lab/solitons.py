@@ -56,13 +56,10 @@ def soliton_spin(c: float, x) -> np.ndarray:
     return np.stack([c * sech, np.tanh(nu * x), nu * sech], axis=-1)
 
 
-def soliton_hydro(c: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Hydrodynamic profile (v_c, w_c) at the points x."""
-    nu = soliton_nu(c)
-    x = np.asarray(x, dtype=float)
-    v = nu / np.cosh(nu * x)
-    w = c * v / (1.0 - v * v)
-    return v, w
+def soliton_hydro(c: float, x) -> np.ndarray:
+    """Hydrodynamic profile (v_c, w_c) at the points x, as the Q of
+    :func:`soliton_hydro_jet` in one (2,) + x.shape array."""
+    return soliton_hydro_jet(c, np.ravel(x)).q.reshape((2,) + np.shape(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +133,8 @@ def soliton_hydro_jet(c, x) -> ProfileJet:
     :class:`ProfileJet` that supplies the remaining derivatives on demand.
     c is a speed or an array that broadcasts against x.
 
-    Q is evaluated exactly as in :func:`soliton_hydro`, and Q' with the
-    same operations as the closed form v' = -nu v tanh(nu x),
+    Q is the closed form v = nu sech(nu x), w = c v/(1 - v^2), and Q' is
+    evaluated with the same operations as v' = -nu v tanh(nu x),
     w' = c v' (1 + v^2)/(1 - v^2)^2.
     """
     c = np.asarray(c, dtype=float)

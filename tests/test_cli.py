@@ -54,6 +54,10 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "tiny" in stdout
         assert "PASS" in stdout
+        # the localized-momentum verdicts are judged with every other gate
+        payload = json.loads((out / "tiny" / "report.json").read_text())
+        names = {d["name"] for d in payload["verdicts"]}
+        assert {"monotonicity_y5", "rate_fd_match", "energy_drift"} <= names
 
     def test_outputs_bit_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path, TINY)
@@ -317,6 +321,20 @@ class TestModulateTrack:
         assert main(["modulate-track", str(junk), str(guess)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_trajectory_exit_two(self, tmp_path, capsys):
+        """A header-only trajectory file is refused up front, with nothing
+        written."""
+        full = self._trajectory_file(tmp_path).read_bytes()
+        path = tmp_path / "empty.traj"
+        # the header with snapshot count and error length (bytes 40-55) zero
+        path.write_bytes(full[:40] + np.array([0, 0], dtype="<u8").tobytes())
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(path), str(self._guess_file(tmp_path)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "empty.traj" in err and "no snapshots" in err
+        assert not out.exists()
+
     def test_bad_guess_exit_two(self, tmp_path, capsys):
         traj = self._trajectory_file(tmp_path)
         bad = tmp_path / "guess.json"
@@ -342,34 +360,6 @@ class TestModulateTrack:
         assert main(["modulate-track", str(traj), str(path), "--out", str(out)]) == 2
         assert f"guess.json.{field}:" in capsys.readouterr().err
         assert not out.exists()
-
-class TestMonotonicityAudit:
-    def test_filtered_verdicts(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, TINY)
-        out = tmp_path / "out"
-        assert main(["monotonicity-audit", str(cfg), "--out", str(out)]) == 0
-        payload = json.loads((out / "tiny" / "report.json").read_text())
-        names = {d["name"] for d in payload["verdicts"]}
-        assert names == {"monotonicity_y5", "rate_fd_match"}
-
-    def test_runtime_failure_exit_one_report_written(self, tmp_path):
-        data = copy.deepcopy(TINY)
-        data["solitons"] = {"params": [{"c": -0.4, "a": -12.0}, {"c": 0.4, "a": 12.0}],
-                            "min_separation": 20.0}
-        data["perturbation"] = {"kind": "between_bump", "amplitude": 1.5}
-        cfg = write_config(tmp_path, data)
-        out = tmp_path / "out"
-        assert main(["monotonicity-audit", str(cfg), "--out", str(out)]) == 1
-        payload = json.loads((out / "tiny" / "report.json").read_text())
-        assert "perturbed initial datum is invalid" in payload["error"]
-        assert set(payload) == REPORT_KEYS
-
-    def test_empty_y0_list_rejected(self, tmp_path, capsys):
-        data = copy.deepcopy(TINY)
-        data["diagnostics"]["y0_list"] = []
-        cfg = write_config(tmp_path, data)
-        assert main(["monotonicity-audit", str(cfg)]) == 2
-        assert "y0_list" in capsys.readouterr().err
 
 
 class TestVirialAudit:

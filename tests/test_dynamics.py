@@ -415,14 +415,18 @@ class TestTrajectoryIO:
         assert back.error == traj.error
 
     def test_truncated_file_rejected(self, tmp_path):
-        """A file cut short inside a record or inside the header, or whose
-        header counts more snapshots than it holds, is a ValueError."""
+        """A file cut short inside a record, inside the header or inside the
+        error string, or whose header counts more snapshots than it holds,
+        is a ValueError."""
         traj = self._make_traj("hydro")
         path = tmp_path / "run.traj"
         save_trajectory(traj, path)
         data = path.read_bytes()
         count = np.array(10**12, dtype="<u8").tobytes()   # bytes 40-47 of the header
-        for broken in (data[:-8], data[:40], data[:40] + count + data[48:]):
+        # no snapshots and a 1000-byte error string, of which 5 bytes are there
+        cut_error = (data[:40] + np.array([0, 1000], dtype="<u8").tobytes()
+                     + b"short")
+        for broken in (data[:-8], data[:40], data[:40] + count + data[48:], cut_error):
             path.write_bytes(broken)
             with pytest.raises(ValueError):
                 load_trajectory(path)

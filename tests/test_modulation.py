@@ -22,6 +22,7 @@ from ll_lab import modulation
 from ll_lab.grid import lowpass_array
 from ll_lab.modulation import CHI_LATTICE_STEP, _jacobian, _residual
 from ll_lab.scenarios import random_smooth_pair
+from ll_lab.solitons import soliton_hydro_jet
 
 import modulation_oracle
 from field_oracle import shift_array, soliton_hydro_derivative
@@ -154,6 +155,15 @@ class TestHessianOperator:
         err = math.sqrt(integrate((out[0].values - fd1) ** 2 + (out[1].values - fd2) ** 2,
                                   self.grid))
         assert err <= 1e-7 * math.sqrt(integrate(fd1 * fd1 + fd2 * fd2, self.grid))
+
+    @pytest.mark.parametrize("c", [0.3, -0.6, 0.9])
+    def test_profile_is_soliton_hydro_at_the_center(self, c):
+        """The operator samples Q_c and Q_c' from one jet at the offsets
+        from its center: Q_c is soliton_hydro there, bit for bit."""
+        op = HessianOperator(c, self.grid)
+        offsets = self.grid.periodic_offset(self.grid.x, op.center)
+        assert np.array_equal(op.profile, soliton_hydro(c, offsets))
+        assert np.array_equal(op.profile_derivative, soliton_hydro_jet(c, offsets).dx)
 
     def test_translation_mode_in_kernel(self):
         op = HessianOperator(0.6, ORACLE_GRID)

@@ -23,6 +23,13 @@ from ll_lab.solitons import soliton_hydro_jet
 SPEEDS = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
 
 
+def closed_form_hydro(c, x):
+    """(v, w) = (nu/cosh(nu x), c v/(1 - v^2)) written out, as one (2, n) array."""
+    nu = math.sqrt(1.0 - c * c)
+    v = nu / np.cosh(nu * x)
+    return np.stack([v, c * v / (1.0 - v * v)])
+
+
 class TestClosedForms:
     def test_nu(self):
         for c in SPEEDS:
@@ -38,6 +45,16 @@ class TestClosedForms:
             v, w = soliton_hydro(c, np.array([0.0]))
             assert v[0] == pytest.approx(nu, rel=1e-14)
             assert w[0] == pytest.approx(nu / c, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.95, -0.95, 0.4, -0.4, 0.2, -0.05])
+    def test_hydro_profile_is_the_closed_form(self, c):
+        """soliton_hydro equals the written-out closed form bit for bit, on
+        a grid and at a single point."""
+        x = Grid(n=1024, dx=0.1, x_min=-51.2).x - 3.7
+        assert np.array_equal(soliton_hydro(c, x), closed_form_hydro(c, x))
+        v0, w0 = soliton_hydro(c, 0.0)
+        assert np.ndim(v0) == 0
+        assert np.array_equal(np.stack([v0, w0]), closed_form_hydro(c, np.array([0.0]))[:, 0])
 
     def test_spin_components(self):
         x = np.linspace(-20.0, 20.0, 401)
@@ -147,7 +164,7 @@ class TestProfileJet:
     def test_entries_match_oracles(self, c):
         xi = self.grid.periodic_offset(self.grid.x, 1.3)
         jet = soliton_hydro_jet(c, xi)
-        v, w = soliton_hydro(c, xi)
+        v, w = closed_form_hydro(c, xi)
         h = 1e-5
         up = soliton_hydro_jet(c + h, xi)
         down = soliton_hydro_jet(c - h, xi)
