@@ -22,10 +22,11 @@ counters, chi_nodes, threads, error).  Exit codes:
   scenario's ``solitons`` section, read as strictly as a scenario config.
 - ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
   run breaks down (the runs before it are written) or a margin is negative;
-  2 for an invalid option, or a run whose datum is not a non-vacuum state
-  or is too near vacuum for dt (every datum is drawn and checked before the
-  first run starts), with nothing written.
-- ``soliton-table``: 0 on success; 2 for an invalid option.
+  2 for an invalid option (a non-finite number included), or a run whose
+  datum is not a non-vacuum state or is too near vacuum for dt (every datum
+  is drawn and checked before the first run starts), with nothing written.
+- ``soliton-table``: 0 on success; 2 for an invalid option (a non-finite
+  number included), with nothing written.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def _cmd_modulate_track(args: argparse.Namespace) -> int:
 
 
 def _cmd_virial_audit(args: argparse.Namespace) -> int:
-    if args.amplitude <= 0.0:
-        return _fail_config(f"--amplitude must be positive, got {args.amplitude}")
+    if not (math.isfinite(args.amplitude) and args.amplitude > 0.0):
+        return _fail_config(f"--amplitude must be finite and positive, got {args.amplitude}")
     if args.runs < 1:
         return _fail_config(f"--runs must be >= 1, got {args.runs}")
     if args.seed < 0:
         return _fail_config(f"--seed must be >= 0, got {args.seed}")
-    if args.t_end <= 0.0:
-        return _fail_config(f"--t-end must be positive, got {args.t_end}")
+    if not (math.isfinite(args.t_end) and args.t_end > 0.0):
+        return _fail_config(f"--t-end must be finite and positive, got {args.t_end}")
 
     grid = Grid(n=2048, dx=0.1, x_min=-102.4)
     integ = IntegratorConfig(dt=2e-3, t_end=args.t_end, sample_stride=50)
@@ -193,9 +194,9 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
 def _cmd_soliton_table(args: argparse.Namespace) -> int:
     if not (0.0 < abs(args.c) < 1.0):
         return _fail_config(f"--c must lie in (-1, 1) excluding 0, got {args.c}")
-    if args.xmax <= 0.0:
-        return _fail_config(f"--xmax must be positive, got {args.xmax}")
-    if args.dx <= 0.0 or args.dx > 2.0 * args.xmax:
+    if not (math.isfinite(args.xmax) and args.xmax > 0.0):
+        return _fail_config(f"--xmax must be finite and positive, got {args.xmax}")
+    if not (math.isfinite(args.dx) and 0.0 < args.dx <= 2.0 * args.xmax):
         return _fail_config(f"--dx must lie in (0, 2*xmax], got {args.dx}")
 
     count = int(math.floor(2.0 * args.xmax / args.dx + 0.5)) + 1

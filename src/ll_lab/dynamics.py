@@ -18,8 +18,9 @@ independently; agreement with the factored form is a grid-exact identity.
 Integration is classical RK4 through one stepper per frame, built by
 ``_stepper`` and driven by both ``evolve`` and ``step_rk4``.  The hydro
 stepper carries the rfft spectrum (v^, w^) and a (4, n//2 + 1) work buffer;
-the spin stepper carries the (n, 3) field m in its phase sector and
-renormalizes it to unit length pointwise after every step.
+the spin stepper carries the (n, 3) field m in its phase sector, takes m''
+from the grid's ``complex_deriv_array`` and ``deriv_array``, and
+renormalizes m to unit length pointwise after every step.
 
 The step bound dt <= S*(2*sqrt(2)/pi^2)*dx^2*m^(1/4), m = min(1 - v^2), is
 S = ``STEP_SAFETY`` times the measured hydro stability limit (within 2% for
@@ -59,6 +60,7 @@ from .grid import (
     SpinState,
     VacuumBreakdown,
     _check_vacuum,
+    complex_deriv_array,
     deriv_array,
 )
 
@@ -157,17 +159,11 @@ def _spectral_rhs(yhat: np.ndarray, grid: Grid, buf: np.ndarray) -> np.ndarray:
 
 
 def _spin_rhs_arrays(m: np.ndarray, grid: Grid, sector: int) -> np.ndarray:
-    mc = m[:, 0] + 1j * m[:, 1]
-    twist, _ikk, kk2 = grid.sector_multipliers[sector]
-    if twist is None:
-        d2c = np.fft.ifft(-kk2 * np.fft.fft(mc))
-    else:
-        d2c = twist * np.fft.ifft(-kk2 * np.fft.fft(mc / twist))
-    d2r = np.fft.irfft(-grid.k2 * np.fft.rfft(m[:, 2]), n=grid.n)
+    d2c = complex_deriv_array(m[:, 0] + 1j * m[:, 1], grid, 2, sector)
     heff = np.empty_like(m)
     heff[:, 0] = d2c.real
     heff[:, 1] = d2c.imag
-    heff[:, 2] = d2r - m[:, 2]
+    heff[:, 2] = deriv_array(m[:, 2], grid, 2) - m[:, 2]
     return -np.cross(m, heff)
 
 

@@ -250,7 +250,7 @@ def _derivative_multiplier(ik: np.ndarray, k2: np.ndarray, order: int) -> np.nda
         raise ValueError(f"derivative order must be >= 1, got {order}")
     if order == 1:
         return ik
-    mult = (-k2) ** (order // 2)
+    mult = -k2 if order < 4 else (-k2) ** (order // 2)
     return mult * ik if order % 2 else mult
 
 

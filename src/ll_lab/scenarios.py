@@ -97,11 +97,11 @@ class Perturbation:
 @dataclass(frozen=True)
 class DiagnosticsConfig:
     """What to record: localized-momentum offsets y0, the half width of the
-    window norms, and how the between-soliton reference paths move."""
+    window norms, and ``gammas``, one speed per gap: given, the between-soliton
+    paths are rays at those speeds; empty, they are the live midpoints."""
 
     y0_list: tuple[float, ...]
     window_half_width: float
-    b_path: str = "midpoints"
     gammas: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -111,13 +111,6 @@ class DiagnosticsConfig:
                               f"must differ in %+g form, got {list(self.y0_list)}")
         if self.window_half_width <= 0.0:
             raise ConfigError(f"window_half_width: must be > 0, got {self.window_half_width}")
-        if self.b_path not in ("midpoints", "fixed_speed"):
-            raise ConfigError(
-                f"b_path: expected 'midpoints' or 'fixed_speed', got {self.b_path!r}")
-        if self.b_path == "fixed_speed" and not self.gammas:
-            raise ConfigError("gammas: required when b_path is 'fixed_speed'")
-        if self.b_path == "midpoints" and self.gammas:
-            raise ConfigError("gammas: only valid when b_path is 'fixed_speed'")
 
 
 @dataclass(frozen=True)
@@ -390,7 +383,8 @@ def _paths(cfg: ScenarioConfig, track: ModulationTrack
     """Per-snapshot positions and rates of every monitored path label.
 
     Labels a1..aN follow the tracked soliton centers; b1..b(N-1) sit between
-    consecutive solitons, either live midpoints or fixed-speed rays.
+    consecutive solitons: the live midpoints, or, when ``gammas`` is given,
+    rays from the initial midpoints at those speeds.
     """
     paths: dict[str, np.ndarray] = {}
     rates: dict[str, np.ndarray] = {}
@@ -398,7 +392,7 @@ def _paths(cfg: ScenarioConfig, track: ModulationTrack
     for j in range(nsol):
         paths[f"a{j + 1}"] = track.centers[:, j].copy()
         rates[f"a{j + 1}"] = track.center_rates[:, j]
-    if cfg.diagnostics.b_path == "midpoints":
+    if not cfg.diagnostics.gammas:
         for j in range(nsol - 1):
             paths[f"b{j + 1}"] = 0.5 * (track.centers[:, j] + track.centers[:, j + 1])
             rates[f"b{j + 1}"] = 0.5 * (track.center_rates[:, j] + track.center_rates[:, j + 1])

@@ -129,12 +129,11 @@ def scenario_from_dict(data: Any, path: str = "config") -> ScenarioConfig:
 
     diag_obj = _expect_object(top["diagnostics"], f"{path}.diagnostics",
                               required=("y0_list", "window_half_width"),
-                              optional=("b_path", "gammas"))
+                              optional=("gammas",))
     diagnostics = DiagnosticsConfig(
         y0_list=_real_list(diag_obj["y0_list"], f"{path}.diagnostics.y0_list"),
         window_half_width=_real(diag_obj["window_half_width"],
                                 f"{path}.diagnostics.window_half_width"),
-        b_path=_string(diag_obj.get("b_path", "midpoints"), f"{path}.diagnostics.b_path"),
         gammas=_real_list(diag_obj.get("gammas", []), f"{path}.diagnostics.gammas"))
 
     return ScenarioConfig(name=name, frame=frame, solitons=solitons,

@@ -404,6 +404,21 @@ class TestVirialAudit:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["soliton-table", "--c", "0.5", "--xmax", "10", "--dx", "nan"],
+    ["soliton-table", "--c", "0.5", "--xmax", "inf", "--dx", "0.5"],
+    ["soliton-table", "--c", "0.5", "--xmax", "nan", "--dx", "0.5"],
+    ["virial-audit", "--runs", "1", "--t-end", "nan"],
+    ["virial-audit", "--runs", "1", "--t-end", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_option_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --") and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "modulate-track", "virial-audit"])
 def test_report_records_thread_settings(tmp_path, monkeypatch, command):
     """Every subcommand records the OpenMP and BLAS thread variables as the

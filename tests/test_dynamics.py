@@ -215,6 +215,15 @@ class TestFusedPathBits:
         assert next(snaps, None) is None
 
     @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
+    def test_spin_rhs(self, c, sector):
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        params = tuple(SolitonParams(cj, 15.0 * (j - 0.5 * (len(c) - 1)))
+                       for j, cj in enumerate(c))
+        spin = reconstruct_spin(multi_soliton_sum(MultiSolitonConfig(params, 10.0), grid))
+        assert spin.phase_sector == sector
+        assert np.array_equal(rhs_spin(spin), oracle._spin_rhs_arrays(spin.m, grid, sector))
+
+    @pytest.mark.parametrize("c, sector", [((-0.4, 0.4), 0), ((0.6,), 1)])
     def test_spin_steps(self, c, sector):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
         params = tuple(SolitonParams(cj, 15.0 * (j - 0.5 * (len(c) - 1)))

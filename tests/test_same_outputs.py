@@ -1,0 +1,55 @@
+"""tools/same_outputs.py: its quick suite gives the same bytes when run
+twice on this tree, and its comparison names what differs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_quick_suite_twice_is_identical(tmp_path):
+    tool = _tool()
+    codes = tool.run_suite(tool.ROOT, tmp_path / "a", quick=True)
+    assert codes == {"simulate": 0, "trajectory": 0, "modulate-track": 0,
+                     "virial-audit": 0, "soliton-table": 0}
+    saved = tmp_path / "a" / "out" / "trajectory" / "pair.lltraj"
+    assert tool.run_suite(tool.ROOT, tmp_path / "b", quick=True, trajectory=saved) == codes
+    lines = tool.compare(tmp_path / "a" / "out", tmp_path / "b" / "out")
+    # 3 files for each of 4 scenarios, 2 each for track and virial-audit, the
+    # trajectory and its index, the soliton table, the exit codes
+    assert len(lines) == 20, lines
+    assert all(line.endswith(": identical") for line in lines), lines
+
+
+def test_compare_names_each_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side, y, error, blob in [(a, "2", None, b"\x00\x01"), (b, "2.5", "lost", b"\x00\x02")]:
+        (side / "run").mkdir(parents=True)
+        (side / "run" / "table.csv").write_bytes(f"x,y\r\n1,{y}\r\n3,4\r\n".encode())
+        (side / "run" / "same.csv").write_bytes(b"x\r\n1\r\n")
+        (side / "run" / "report.json").write_text(json.dumps(
+            {"timings": {"total": len(y)}, "error": error,
+             "config": {"diagnostics": {"gammas": [0.0]}}}))
+        (side / "run" / "blob.bin").write_bytes(blob)
+    (a / "run" / "extra.csv").write_text("x\r\n")
+    report = json.loads((a / "run" / "report.json").read_text())
+    report["error"] = "lost"
+    report["config"]["diagnostics"]["b_path"] = "fixed_speed"
+    assert _tool().compare(a, b) == [
+        "run/blob.bin: differs (2 bytes against 2)",
+        "run/extra.csv: only in the revision",
+        "run/report.json: differs in error",
+        "run/same.csv: identical",
+        "run/table.csv: y abs 0.5 rel 0.2",
+    ]
+    # timings and a b_path echo are not compared
+    (a / "run" / "report.json").write_text(json.dumps(report))
+    assert "run/report.json: identical" in _tool().compare(a, b)

@@ -62,7 +62,7 @@ MALFORMED = [
     ({"integrator__dt": -0.001}, "config.integrator"),
     ({"integrator__sample_stride": 2.5}, "sample_stride: expected an integer"),
     ({"diagnostics__window_half_width": 0.0}, "window_half_width"),
-    ({"diagnostics__b_path": "zigzag"}, "b_path"),
+    ({"diagnostics__b_path": "zigzag"}, "config.diagnostics.b_path: unknown key"),
     ({"diagnostics__gammas": [0.1]}, "gammas"),
     ({"integrator__scheme": "rk4"}, "integrator.scheme: unknown key"),
     ({"integrator__dealias": True}, "integrator.dealias: unknown key"),
@@ -141,7 +141,6 @@ class TestConfigParsing:
         data = variant(
             solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
             solitons__min_separation=30.0)
-        data["diagnostics"]["b_path"] = "fixed_speed"
         data["diagnostics"]["gammas"] = [0.0]
         cfg = scenario_from_dict(data)
         assert cfg.diagnostics.gammas == (0.0,)
@@ -177,7 +176,7 @@ ACCEPTED = [
     # c = 0.95 at dt = 0.25 dx^2, 0.994 of its step bound
     variant(solitons__params=[{"c": 0.95, "a": 0.0}], grid__n=1024, integrator__dt=0.0025,
             integrator__t_end=10.0),
-    variant(solitons=PAIR, diagnostics__b_path="fixed_speed", diagnostics__gammas=[0.0]),
+    variant(solitons=PAIR, diagnostics__gammas=[0.0]),
     variant(solitons=PAIR, perturbation__kind="between_bump", perturbation__amplitude=0.05),
     variant(solitons__params=[{"c": -0.3, "a": -15.0}, {"c": 0.3, "a": 15.0}],
             solitons__min_separation=30.0, perturbation__kind="between_bump",
@@ -528,7 +527,6 @@ class TestRunScenario:
         data = variant(
             solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
             solitons__min_separation=30.0)
-        data["diagnostics"]["b_path"] = "fixed_speed"
         data["diagnostics"]["gammas"] = [0.0]
         report = run_scenario(scenario_from_dict(data))
         assert report.error is None

@@ -20,6 +20,8 @@ from ll_lab import (Grid, MultiSolitonConfig, SolitonParams, VacuumBreakdown,
 from ll_lab.grid import deriv_array
 from ll_lab.solitons import soliton_hydro_jet
 
+import dynamics_oracle
+
 SPEEDS = (-0.9, -0.6, -0.3, 0.3, 0.6, 0.9)
 
 
@@ -38,6 +40,14 @@ class TestClosedForms:
             soliton_nu(1.0)
         with pytest.raises(ValueError):
             soliton_nu(-1.2)
+
+    def test_nu_is_the_jet_nu(self):
+        """nu squares c as c*c, as the hydrodynamic jet does; c**2 rounds
+        one ulp away from the jet's nu at this speed."""
+        c = 0.7342857363024624
+        nu = float(soliton_hydro_jet(c, np.array([0.0])).nu)
+        assert soliton_nu(c) == nu
+        assert soliton_energy(c) / 2.0 == nu
 
     def test_profile_peak_values(self):
         for c in SPEEDS:
@@ -106,6 +116,17 @@ class TestTravelingWaveResidual:
         grid = Grid(n=4096, dx=0.05, x_min=-102.4)
         state = soliton_spin_state(0.6, 0.0, grid)
         assert traveling_wave_residual(state, 0.3) > 1e-3
+
+    @pytest.mark.parametrize("c", [0.3, -0.6, 0.9])
+    def test_residual_bits_match_oracle(self, c):
+        """The residual through rhs_spin equals the written-out
+        -c*m' + m x (m'' - m3 e3) bit for bit, in both sectors."""
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        pair = MultiSolitonConfig((SolitonParams(-0.4, -15.0), SolitonParams(0.4, 15.0)), 10.0)
+        for state in (soliton_spin_state(c, 2.5, grid),
+                      reconstruct_spin(multi_soliton_sum(pair, grid))):
+            want = dynamics_oracle.traveling_wave_residual(state.m, grid, state.phase_sector, c)
+            assert traveling_wave_residual(state, c) == want
 
 
 class TestFrameRoundTrips:
