@@ -29,7 +29,6 @@ from .solitons import (
     winding_number,
 )
 from .functionals import (
-    SeamSupportWarning,
     energy_hydro,
     energy_spin,
     localized_momentum,
@@ -38,6 +37,7 @@ from .functionals import (
     phi_bump,
     phi_bump_d1,
     phi_bump_d3,
+    seam_norm,
     virial_U,
     virial_linear_identity,
     virial_rate,

@@ -25,6 +25,9 @@ counters, chi_nodes, threads, error).  Exit codes:
   2 for an invalid option (a non-finite number included), or a run whose
   datum is not a non-vacuum state or is too near vacuum for dt (every datum
   is drawn and checked before the first run starts), with nothing written.
+  Each row of its virial.csv carries the ``seam`` mass of its state, as
+  ``simulate``'s diagnostics.csv does: U and the rate are exact only while
+  it is negligible.
 - ``soliton-table``: 0 on success; 2 for an invalid option (a non-finite
   number included), with nothing written.
 """
@@ -41,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import IntegratorConfig, evolve, load_trajectory
-from .functionals import virial_U, virial_rate
+from .functionals import seam_norm, virial_U, virial_rate
 from .grid import Grid, HydroState, x_norm
 from .modulation import track_modulation
 from .scenarios import (
@@ -160,7 +163,8 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
             return _fail_config(f"run {k}: {exc}")
         data.append(state)
 
-    table = {"run": [], "t": [], "U": [], "rate": [], "quarter_xnorm2": [], "margin": []}
+    table = {"run": [], "t": [], "U": [], "rate": [], "quarter_xnorm2": [], "margin": [],
+             "seam": []}
     verdicts = []
     error = None
     for k, state0 in enumerate(data):
@@ -175,7 +179,8 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
             margin = rate - quarter
             margin_min = min(margin_min, margin)
             for col, value in zip(table.values(),
-                                  (k, float(t), virial_U(state), rate, quarter, margin)):
+                                  (k, float(t), virial_U(state), rate, quarter, margin,
+                                   seam_norm(state))):
                 col.append(value)
         verdicts.append(Verdict(f"coercivity_run{k}", margin_min >= 0.0, margin_min, 0.0))
 

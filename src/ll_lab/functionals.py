@@ -25,7 +25,9 @@ whose linear part equals int ( 3/2 (v')^2 + 1/2 v^2 + 1/2 w^2 ) and hence
 dominates 1/4 ||s||_X^2 for small data.  All weighted assemblies use x (a
 periodic sawtooth) strictly as a pointwise weight; only smooth fields are
 ever differentiated, so the identities hold on the grid to rounding for
-seam-centered band-limited data.
+seam-centered band-limited data.  The virial functionals do not look at
+the seam: :func:`seam_norm` measures the mass there, and every table that
+records U records it next to U.
 
 These are functionals of one state.  Their series along a run are the
 named diagnostics columns that :mod:`ll_lab.scenarios` records and writes.
@@ -34,7 +36,6 @@ named diagnostics columns that :mod:`ll_lab.scenarios` records and writes.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -49,10 +50,6 @@ from .grid import (
     spin_derivative,
     window_norm,
 )
-
-
-class SeamSupportWarning(UserWarning):
-    """Data has noticeable mass at the periodic seam; weighted identities degrade."""
 
 
 def energy_hydro(state: HydroState) -> float:
@@ -159,27 +156,12 @@ def seam_norm(state: HydroState) -> float:
     return window_norm(state, state.grid.x_min, state.grid.period / 16.0)
 
 
-def _warn_seam_support(state: HydroState) -> None:
-    seam = seam_norm(state)
-    if seam > 1e-8:
-        warnings.warn(
-            f"state carries mass {seam:.3e} near the periodic seam; "
-            "weighted virial identities are only exact for seam-centered data",
-            SeamSupportWarning, stacklevel=3)
-
-
 def virial_U(state: HydroState) -> float:
     """U = int x v w with x measured from the domain midpoint.
 
-    Warns when the state has noticeable mass near the seam, where the
-    sawtooth weight jumps.
+    The sawtooth weight jumps at the seam, so U and its identities are
+    exact only while :func:`seam_norm` of the state is negligible.
     """
-    _warn_seam_support(state)
-    return _virial_U(state)
-
-
-def _virial_U(state: HydroState) -> float:
-    """U with no seam check, for callers that record :func:`seam_norm`."""
     xt = _midpoint_offsets(state.grid)
     return integrate(xt * state.v.values * state.w.values, state.grid)
 
@@ -205,7 +187,6 @@ def virial_linear_identity(state: HydroState) -> tuple[float, float]:
     Returns (-<Ls, s> - <Ls, x s'>, int 3/2 (v')^2 + 1/2 v^2 + 1/2 w^2);
     the two agree to rounding for seam-centered band-limited data.
     """
-    _warn_seam_support(state)
     grid = state.grid
     v = state.v.values
     w = state.w.values
@@ -224,7 +205,6 @@ def virial_rate(state: HydroState) -> float:
     The sawtooth x enters pointwise only; the derivative falls on the smooth
     field Bs.
     """
-    _warn_seam_support(state)
     grid = state.grid
     ls = apply_L(state)
     b1, b2 = apply_B(state)

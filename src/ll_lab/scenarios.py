@@ -35,12 +35,12 @@ import numpy as np
 
 from .dynamics import IntegratorConfig, evolve, step_rk4
 from .functionals import (
-    _virial_U,
     energy_hydro,
     localized_momentum,
     localized_momentum_rate,
     momentum,
     seam_norm,
+    virial_U,
 )
 from .grid import Grid, HydroState, integrate, window_norm, x_norm_arrays
 from .modulation import ModulationTrack, negative_mode, track_modulation
@@ -435,7 +435,7 @@ def _collect_diagnostics(cfg: ScenarioConfig, times: np.ndarray, states: Sequenc
         # whose radiation has reached the seam, with the seam's mass next to
         # it; the identity checks that need seam-free data run on their own
         # compactly-centered states
-        diag["U"][i] = _virial_U(state)
+        diag["U"][i] = virial_U(state)
         for label in labels:
             b = float(paths[label][i])
             for y0 in y0s:

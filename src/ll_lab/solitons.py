@@ -133,7 +133,8 @@ class ProfileJet:
 def soliton_hydro_jet(c, x) -> ProfileJet:
     """Q_c and Q_c' at the points x from one cosh and one tanh of nu*x, as a
     :class:`ProfileJet` that supplies the remaining derivatives on demand.
-    c is a speed or an array that broadcasts against x.
+    x needs a last (grid) axis, and c is a speed or an array that
+    broadcasts against x; :func:`soliton_hydro` takes any x.
 
     Q is the closed form v = nu sech(nu x), w = c v/(1 - v^2), and Q' is
     evaluated with the same operations as v' = -nu v tanh(nu x),
@@ -144,6 +145,8 @@ def soliton_hydro_jet(c, x) -> ProfileJet:
         raise ValueError(f"soliton speed must satisfy 0 < |c| < 1, got {c.tolist()}")
     nu = np.sqrt(1.0 - c * c)
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ValueError("x needs a last (grid) axis, got a 0-d x")
     y = nu * x
     # Q and Q' are written into their places in (..., 2, n) arrays
     q = np.empty(y.shape[:-1] + (2,) + y.shape[-1:])
@@ -269,9 +272,9 @@ def soliton_spin_state(c: float, a: float, grid: Grid) -> SpinState:
 # frame changes
 # ---------------------------------------------------------------------------
 
-def reconstruct_spin(state: HydroState, theta0: float = 0.0) -> SpinState:
+def reconstruct_spin(state: HydroState) -> SpinState:
     """Lift (v, w) to a spin field m with m3 = v and transverse phase theta,
-    d(theta)/dx = w, fixed by theta = theta0 at the grid point nearest x = 0.
+    d(theta)/dx = w, fixed by theta = 0 at the grid point nearest x = 0.
 
     The total winding T = int w dx is rounded to the nearest multiple of pi;
     the half-integer part sets the phase sector and the residual T - k*pi is
@@ -310,7 +313,7 @@ def reconstruct_spin(state: HydroState, theta0: float = 0.0) -> SpinState:
     theta += (n_half * math.pi) * (grid.x - grid.x_min) / grid.period
 
     j0 = int(np.argmin(np.abs(grid.periodic_offset(grid.x, 0.0))))
-    theta = theta - theta[j0] + theta0
+    theta = theta - theta[j0]
 
     rho = np.sqrt(1.0 - v * v)
     return SpinState.from_components(grid, rho * np.cos(theta), rho * np.sin(theta), v,

@@ -371,7 +371,9 @@ class TestVirialAudit:
         audit = out / "virial-audit"
         assert (audit / "virial.csv").is_file()
         rows = (audit / "virial.csv").read_text().strip().splitlines()
-        assert rows[0] == "run,t,U,rate,quarter_xnorm2,margin"
+        assert rows[0] == "run,t,U,rate,quarter_xnorm2,margin,seam"
+        seam = [float(row.split(",")[-1]) for row in rows[1:]]
+        assert seam and all(math.isfinite(m) and m >= 0.0 for m in seam)
         payload = json.loads((audit / "report.json").read_text())
         verdicts = payload["verdicts"]
         assert all(d["pass"] for d in verdicts)

@@ -8,15 +8,16 @@ Hand-computed references used here:
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ll_lab import (Grid, HydroState, IntegratorConfig, SeamSupportWarning,
+from ll_lab import (Grid, HydroState, IntegratorConfig,
                     energy_hydro, energy_spin, evolve,
                     localized_momentum, localized_momentum_rate, momentum,
                     multi_soliton_sum, phi_bump, phi_bump_d1, phi_bump_d3,
-                    reconstruct_spin, soliton_energy, soliton_hydro,
+                    reconstruct_spin, seam_norm, soliton_energy, soliton_hydro,
                     soliton_momentum, virial_U, virial_linear_identity,
                     virial_rate, x_norm)
 from ll_lab import MultiSolitonConfig, SolitonParams
@@ -199,10 +200,12 @@ class TestVirial:
         rate = virial_rate(mid)
         assert abs(fd - rate) <= 1e-6 * (1.0 + x_norm(mid) ** 2)
 
-    def test_seam_support_warning(self):
+    def test_seam_support_is_measured_not_warned(self):
         v = 0.2 * np.exp(-(self.grid.periodic_offset(self.grid.x, self.grid.x_min)) ** 2)
         state = HydroState.from_arrays(self.grid, v, np.zeros(self.grid.n))
-        with pytest.warns(SeamSupportWarning):
+        assert seam_norm(state) > 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             virial_U(state)
 
 

@@ -18,14 +18,15 @@ def _tool():
 def test_quick_suite_twice_is_identical(tmp_path):
     tool = _tool()
     codes = tool.run_suite(tool.ROOT, tmp_path / "a", quick=True)
-    assert codes == {"simulate": 0, "trajectory": 0, "modulate-track": 0,
+    assert codes == {"simulate": 0, "trajectory": 0, "resave": 0, "modulate-track": 0,
                      "virial-audit": 0, "soliton-table": 0}
     saved = tmp_path / "a" / "out" / "trajectory" / "pair.lltraj"
     assert tool.run_suite(tool.ROOT, tmp_path / "b", quick=True, trajectory=saved) == codes
     lines = tool.compare(tmp_path / "a" / "out", tmp_path / "b" / "out")
     # 3 files for each of 4 scenarios, 2 each for track and virial-audit, the
-    # trajectory and its index, the soliton table, the exit codes
-    assert len(lines) == 20, lines
+    # trajectory and its index, both again after a load, the soliton table,
+    # the exit codes
+    assert len(lines) == 22, lines
     assert all(line.endswith(": identical") for line in lines), lines
 
 
@@ -53,3 +54,22 @@ def test_compare_names_each_difference(tmp_path):
     # timings and a b_path echo are not compared
     (a / "run" / "report.json").write_text(json.dumps(report))
     assert "run/report.json: identical" in _tool().compare(a, b)
+
+
+def test_compare_reports_header_changes(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    tables = {"grown.csv": ("x,y\r\n1,2\r\n", "x,y,seam\r\n1,2,0\r\n"),
+              "swapped.csv": ("x,y\r\n1,2\r\n3,4\r\n", "y,w\r\n2.5,0\r\n4,0\r\n"),
+              "moved.csv": ("x,y\r\n1,2\r\n", "y,x\r\n2,1\r\n"),
+              "short.csv": ("x,y\r\n1,2\r\n", "x\r\n")}
+    for name, (text_a, text_b) in tables.items():
+        for side, text in [(a, text_a), (b, text_b)]:
+            side.mkdir(exist_ok=True)
+            (side / name).write_bytes(text.encode())
+    # common columns are compared by name, whatever their position
+    assert _tool().compare(a, b) == [
+        "grown.csv: added seam; 2 common columns identical",
+        "moved.csv: columns reordered; 2 common columns identical",
+        "short.csv: 1 rows against 0, or ragged rows",
+        "swapped.csv: removed x; added w; y abs 0.5 rel 0.2",
+    ]

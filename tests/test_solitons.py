@@ -154,14 +154,6 @@ class TestFrameRoundTrips:
         assert np.max(np.abs(back.v.values - hydro.v.values)) < 1e-10
         assert np.max(np.abs(back.w.values - hydro.w.values)) < 1e-10
 
-    def test_reconstruct_theta0_rotates_transverse(self):
-        state = soliton_spin_state(0.6, 0.0, self.grid)
-        hydro = extract_hydro(state)
-        s0 = reconstruct_spin(hydro, theta0=0.0)
-        s1 = reconstruct_spin(hydro, theta0=math.pi / 3)
-        ratio = s1.transverse / s0.transverse
-        assert np.max(np.abs(ratio - np.exp(1j * math.pi / 3))) < 1e-9
-
     def test_extract_rejects_vacuum_touching(self):
         m1 = np.zeros(self.grid.n)
         m2 = np.zeros(self.grid.n)
@@ -199,6 +191,11 @@ class TestProfileJet:
         for name, ref in oracles.items():
             err = np.max(np.abs(getattr(jet, name) - ref)) / np.max(np.abs(ref))
             assert err <= 1e-8, (name, err)
+
+    def test_point_x_is_refused(self):
+        # the jet writes Q and Q' along a last (grid) axis of x
+        with pytest.raises(ValueError, match="x needs a last"):
+            soliton_hydro_jet(0.5, 0.0)
 
 
 class TestMultiSoliton:

@@ -7,17 +7,19 @@ working tree.
 repository's worktree list is not touched).  One suite of runs is made on
 that tree and then on the working tree, each command in its own process
 with one BLAS/OpenMP thread, and every output file is compared.  One line is
-printed per file: "identical", or, for a CSV, the largest absolute and
-relative difference of each column that differs.  ``report.json`` is
+printed per file: "identical", or, for a CSV, the columns added and removed
+and the largest absolute and relative difference of each column that the
+two files share (matched by name) and that differs.  ``report.json`` is
 compared without its ``timings``.  The exit code is 0 when every file is
 identical and every command exited 0 or 1, 2 when ``<rev>`` cannot be
 exported, else 1.
 
 The suite is ``simulate`` on a hydro pair, a sector-0 spin pair, a sector-1
 spin soliton and a pair with fixed-speed paths (and on the three shipped
-configs in the full suite); a saved pair trajectory, and ``modulate-track``
-on it (both trees track the trajectory the revision saved, so the tracking
-is compared on one input); ``virial-audit``; and ``soliton-table``.
+configs in the full suite); a saved pair trajectory, that trajectory saved
+again after a load, and ``modulate-track`` on it (both trees load and track
+the trajectory the revision saved, so reading and tracking are compared on
+one input); ``virial-audit``; and ``soliton-table``.
 ``--quick`` shortens the runs (T = 1, one virial run to T = 0.5) to a few
 seconds.
 """
@@ -53,6 +55,13 @@ traj = evolve(state, IntegratorConfig(dt=1e-3, t_end=float(sys.argv[1]), sample_
 save_trajectory(traj, sys.argv[2])
 """
 
+# argv: a saved trajectory and the path to save it to again after a load
+RESAVE_SCRIPT = """
+import sys
+from ll_lab import load_trajectory, save_trajectory
+save_trajectory(load_trajectory(sys.argv[1]), sys.argv[2])
+"""
+
 
 def scenarios(quick: bool) -> list[dict]:
     """The suite's own scenario configs."""
@@ -83,8 +92,8 @@ def _run(tree: Path, side: Path, name: str, argv: list[str]) -> int:
 def run_suite(tree: Path, side: Path, quick: bool, trajectory: Path | None = None) -> dict:
     """Run the suite on the ll_lab of ``tree``, with inputs in ``side/inputs``
     and outputs in ``side/out``, and return each command's exit code.
-    modulate-track reads ``trajectory`` when it is given, else the one this
-    run saved, ``side/out/trajectory/pair.lltraj``."""
+    The resave and modulate-track read ``trajectory`` when it is given, else
+    the one this run saved, ``side/out/trajectory/pair.lltraj``."""
     inputs, out = side / "inputs", side / "out"
     inputs.mkdir(parents=True)
     (out / "trajectory").mkdir(parents=True)
@@ -106,6 +115,9 @@ def run_suite(tree: Path, side: Path, quick: bool, trajectory: Path | None = Non
                                  str(saved.relative_to(side))])}
     if (trajectory or saved).is_file():
         shutil.copyfile(trajectory or saved, inputs / "track.lltraj")
+    codes["resave"] = _run(tree, side, "resave",
+                           ["-c", RESAVE_SCRIPT, "inputs/track.lltraj",
+                            "out/trajectory/resaved.lltraj"])
     codes["modulate-track"] = _run(tree, side, "modulate-track",
                                    [*cli, "modulate-track", "inputs/track.lltraj",
                                     "inputs/guess.json", "--out", "out"])
@@ -139,17 +151,26 @@ def _number(text: str) -> float | None:
 
 
 def _csv_differences(a: Path, b: Path) -> str:
-    """The largest absolute and relative difference of each differing column."""
+    """The columns removed and added, then the largest absolute and relative
+    difference of each column that both files carry, matched by name."""
     with open(a, newline="") as fa, open(b, newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
-    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
-        return "header differs"
-    width = len(rows_a[0])
-    if len(rows_a) != len(rows_b) or any(len(r) != width for r in rows_a + rows_b):
+    if not rows_a or not rows_b:
+        return "one file is empty"
+    head_a, head_b = rows_a[0], rows_b[0]
+    if (len(rows_a) != len(rows_b) or any(len(r) != len(head_a) for r in rows_a)
+            or any(len(r) != len(head_b) for r in rows_b)):
         return f"{len(rows_a) - 1} rows against {len(rows_b) - 1}, or ragged rows"
-    parts = []
-    for j, name in enumerate(rows_a[0]):
-        pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra[j] != rb[j]]
+    where = {name: j for j, name in enumerate(head_b)}
+    common = [(i, where[name], name) for i, name in enumerate(head_a) if name in where]
+    parts = [f"{label} {', '.join(names)}" for label, names in
+             [("removed", [name for name in head_a if name not in where]),
+              ("added", [name for name in head_b if name not in head_a])] if names]
+    if not parts and head_a != head_b:
+        parts.append("columns reordered")
+    header_parts = len(parts)
+    for i, j, name in common:
+        pairs = [(ra[i], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra[i] != rb[j]]
         if not pairs:
             continue
         values = [(_number(x), _number(y)) for x, y in pairs]
@@ -159,6 +180,8 @@ def _csv_differences(a: Path, b: Path) -> str:
         abs_max = max(abs(x - y) for x, y in values)
         rel_max = max(abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0 for x, y in values)
         parts.append(f"{name} abs {abs_max:.3g} rel {rel_max:.3g}")
+    if header_parts and len(parts) == header_parts:
+        parts.append(f"{len(common)} common columns identical")
     return "; ".join(parts) or "bytes differ, cells equal"
 
 
