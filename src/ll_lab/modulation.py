@@ -44,6 +44,7 @@ recorded on ``ModulationTrack.error``.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -172,6 +173,19 @@ def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
 # lowest eigenpairs: preconditioned block Davidson with thick restart
 # ---------------------------------------------------------------------------
 
+def _mapped_columns(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) column-major float array in its own anonymous memory
+    map, which is unmapped when the array is released.  The Davidson basis
+    and its image live in two of these, so their pages go back to the
+    operating system at the end of every solve.  From malloc they would
+    not: glibc raises its mmap threshold to the size of the first such
+    buffer freed, so the next solve's buffers come from its heap, where a
+    small allocation above them can keep them resident for the rest of the
+    run."""
+    return np.ndarray((rows, cols), dtype=float, buffer=mmap.mmap(-1, rows * cols * 8),
+                      order="F")
+
+
 def _davidson_lowest(apply_block, precond_block, x0: np.ndarray):
     """Lowest CHI_NEV Ritz pairs of a symmetric operator on column vectors.
 
@@ -194,8 +208,8 @@ def _davidson_lowest(apply_block, precond_block, x0: np.ndarray):
 
     # the basis V and its image HV fill preallocated column-major buffers,
     # and the Gram matrix V^T H V grows by the new block's rows and columns
-    basis = np.empty((x0.shape[0], CHI_MAXDIM), order="F")
-    image = np.empty_like(basis)
+    basis = _mapped_columns(x0.shape[0], CHI_MAXDIM)
+    image = _mapped_columns(x0.shape[0], CHI_MAXDIM)
     V, _ = np.linalg.qr(x0)
     dim = V.shape[1]
     basis[:, :dim] = V
@@ -403,15 +417,28 @@ class ChiCache:
             self._cells[k] = cell
         return cell
 
-    def mode_for(self, c: float) -> tuple[np.ndarray, np.ndarray]:
-        """The rfft of the rows (chi_v, chi_w) at c and of their slope
-        (d chi_v/dc, d chi_w/dc), centered at ``center``: two arrays of
-        shape (2, n//2 + 1)."""
+    @staticmethod
+    def _cell_index(c: float) -> int:
+        """The k of the cell [c_k, c_k+1] that serves c, kept to admissible
+        nodes of the sign of c."""
         if not 0.0 < abs(c) < 1.0:
             raise ModulationError(f"speed out of range: no negative direction at c = {c}")
         top = round(1.0 / CHI_LATTICE_STEP) - 1   # the last admissible node index
         k = math.floor(c / CHI_LATTICE_STEP)
-        k = min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
+        return min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
+
+    def prepare(self, speeds) -> None:
+        """Solve the nodes of the cells that serve ``speeds`` now, so that
+        their later lookups by :meth:`mode_for` find them; the values served
+        are the same whenever the nodes are solved."""
+        for c in speeds:
+            self._cell(self._cell_index(c))
+
+    def mode_for(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """The rfft of the rows (chi_v, chi_w) at c and of their slope
+        (d chi_v/dc, d chi_w/dc), centered at ``center``: two arrays of
+        shape (2, n//2 + 1)."""
+        k = self._cell_index(c)
         lo, slope = self._cell(k)
         return lo + (c - k * CHI_LATTICE_STEP) * slope, slope
 
@@ -763,13 +790,23 @@ class ModulationTrack:
         return np.gradient(self.centers, self.times, axis=0)
 
 
-def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationTrack:
+def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
+                     chi: Optional[ChiCache] = None) -> ModulationTrack:
     """Run the Newton decomposition at every snapshot, sharing one
-    :class:`ChiCache`.  Each solve after the first starts from a predictor:
-    the previous speeds c_j and the previous centers advanced by c_j times
-    the time step between the snapshots, and from the Jacobian the previous
-    solve ended on, so that the exact Jacobian is built only where a
-    carried step falls short (:func:`_modulate_raw`).
+    :class:`ChiCache`: ``chi`` when given (it must be on the trajectory's
+    grid), else a new one.  Each solve after the first starts from a
+    predictor: the previous speeds c_j and the previous centers advanced by
+    c_j times the time step between the snapshots, and from the Jacobian the
+    previous solve ended on, so that the exact Jacobian is built only where
+    a carried step falls short (:func:`_modulate_raw`).
+
+    The rows and the Newton counts do not depend on the cache's history:
+    chi is a function of c alone, so a cache that has served other speeds
+    gives the same track bit for bit.  ``chi_nodes`` lists every node the
+    cache holds at the end; for a new cache, or one prepared
+    (:meth:`ChiCache.prepare`) for the guess speeds only, these are the
+    nodes the track looks up, since its first residual pass looks up the
+    cells of the guess speeds.
 
     Tracking stops at the first snapshot that cannot be decomposed (a
     :class:`ModulationError`, or a :class:`VacuumBreakdown` of the snapshot
@@ -779,7 +816,10 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     grid = traj.grid
-    cache = ChiCache(grid)
+    if chi is None:
+        chi = ChiCache(grid)
+    elif chi.grid != grid:
+        raise ValueError(f"chi cache is on {chi.grid}, the trajectory on {grid}")
     nsol = guess.n_solitons
     times = np.asarray(traj.times, dtype=float)
     speeds = np.empty((len(traj), nsol))
@@ -803,7 +843,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
         try:
             hydro = as_hydro(snap)
             result, jac = _modulate_raw(hydro.v.values, hydro.w.values, grid,
-                                        warm_speeds, warm_centers, signs_f, cache, jac)
+                                        warm_speeds, warm_centers, signs_f, chi, jac)
         except (ModulationError, VacuumBreakdown) as exc:
             error = f"at t = {times[i]:.6g}: {exc}"
             done = i
@@ -826,4 +866,4 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig) -> ModulationT
                            chi_nodes=tuple({"c": mode.c, "rayleigh": mode.rayleigh,
                                             "residual": mode.residual,
                                             "iterations": mode.iterations}
-                                           for mode in cache.nodes))
+                                           for mode in chi.nodes))

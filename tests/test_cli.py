@@ -21,6 +21,7 @@ from ll_lab import (Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
                     SolitonParams, SpinState, Trajectory, evolve, modulation,
                     multi_soliton_sum, reconstruct_spin, save_trajectory,
                     soliton_hydro)
+from ll_lab import cli
 from ll_lab.cli import main
 
 REPORT_KEYS = {"scenario", "config", "verdicts", "timings", "counters", "chi_nodes",
@@ -129,6 +130,21 @@ class TestSimulate:
         payload = json.loads((out / "doomed" / "report.json").read_text())
         assert payload["error"]
         assert set(payload) == REPORT_KEYS
+
+    def test_unexpected_exception_recorded(self, tmp_path, capsys, monkeypatch):
+        """An exception that run_scenario does not expect is the report's
+        error: the report is written and the exit code is 1."""
+        def crash(cfg):
+            raise RuntimeError("an unexpected failure")
+
+        monkeypatch.setattr(cli, "run_scenario", crash)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, TINY)), "--out", str(out)]) == 1
+        payload = json.loads((out / "tiny" / "report.json").read_text())
+        assert set(payload) == REPORT_KEYS
+        assert payload["error"] == "an unexpected failure"
+        assert payload["verdicts"] == [] and payload["counters"] == {}
+        assert "tiny: ERROR" in capsys.readouterr().out
 
     @pytest.mark.parametrize("integrator", [
         {"dt": 0.005, "t_end": 1.0, "sample_stride": 250},    # over the step bound
@@ -314,6 +330,14 @@ class TestModulateTrack:
             assert node["rayleigh"] < 0.0
             assert node["residual"] <= 2e-7
 
+    def test_missing_trajectory_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.traj"
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(missing), str(self._guess_file(tmp_path)),
+                     "--out", str(out)]) == 2
+        assert f"{missing}: no such trajectory file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_magic_exit_two(self, tmp_path, capsys):
         junk = tmp_path / "junk.traj"
         junk.write_bytes(b"NOTATRAJ" + b"\x00" * 32)
@@ -386,6 +410,12 @@ class TestVirialAudit:
     def test_bad_amplitude_exit_two(self, capsys):
         assert main(["virial-audit", "--amplitude", "-0.5", "--runs", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_runs_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["virial-audit", "--runs", "0", "--out", str(out)]) == 2
+        assert "--runs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exit_two(self, tmp_path, capsys):
         out = tmp_path / "out"

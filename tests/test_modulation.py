@@ -590,6 +590,29 @@ class TestTrackModulation:
         assert track.speeds.shape == (1, 1)
         assert track.error.startswith("at t = 0.25")
 
+    def test_prepared_cache_gives_the_cold_track(self):
+        """A track given a cache already prepared for the guess speeds
+        returns the track of a new cache bit for bit, its counters and chi
+        nodes included: the track's first residual pass looks up exactly
+        the prepared cells."""
+        grid, traj = spliced_pair()
+        cold = track_modulation(traj, SPLICE_PAIR)
+        chi = ChiCache(grid)
+        chi.prepare(SPLICE_PAIR.speeds)
+        warm = track_modulation(traj, SPLICE_PAIR, chi)
+        assert cold.error is None and warm.error is None
+        for name in ("times", "speeds", "centers", "eps_norms", "orthogonality",
+                     "newton_iters"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+        assert warm.counters == cold.counters
+        assert warm.chi_nodes == cold.chi_nodes
+
+    def test_cache_on_another_grid_rejected(self):
+        grid, traj = spliced_pair()
+        other = Grid(n=grid.n, dx=grid.dx, x_min=grid.x_min + grid.dx)
+        with pytest.raises(ValueError, match="chi cache is on"):
+            track_modulation(traj, SPLICE_PAIR, ChiCache(other))
+
     def test_empty_trajectory_rejected(self):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
         cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
@@ -647,6 +670,26 @@ class TestChiCache:
                                                               b.iterations)
             assert a.chi[0].values.tobytes() == b.chi[0].values.tobytes()
             assert a.chi[1].values.tobytes() == b.chi[1].values.tobytes()
+
+    def test_prepare_solves_what_mode_for_looks_up(self, monkeypatch):
+        """``prepare`` solves the nodes of the cells that ``mode_for`` looks
+        up, so the later lookups solve nothing and serve the spectra of a
+        new cache bit for bit."""
+        speeds = (-0.41, 0.605)
+        fresh = ChiCache(self.grid)
+        want = [fresh.mode_for(c) for c in speeds]
+        prepared = ChiCache(self.grid)
+        prepared.prepare(speeds)
+        assert [node.c for node in prepared.nodes] == [node.c for node in fresh.nodes]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a prepared cell was solved again")
+
+        monkeypatch.setattr(modulation, "negative_mode", no_solve)
+        for c, (hat, slope) in zip(speeds, want):
+            got_hat, got_slope = prepared.mode_for(c)
+            assert got_hat.tobytes() == hat.tobytes()
+            assert got_slope.tobytes() == slope.tobytes()
 
     def test_mirrored_node_is_certified(self):
         """The spectrum of a node c_k < 0 is that of S chi_{|c_k|}, equal bit

@@ -53,6 +53,13 @@ def test_traced_round_counts_every_layer(tmp_path):
     stride = cfg["integrator"]["sample_stride"]
     stored = -(-steps // stride)
     assert totals["dynamics.fft_calls"] == 8 * steps + 1 + stored
+    # the chi warm-up before evolve solves without a lookup, so lookups / N
+    # still counts condition evaluations, and every solve is one the report
+    # counts
+    report = json.loads((tmp_path / "out" / "smoke" / "report.json").read_text())
+    nsol = len(cfg["solitons"]["params"])
+    assert totals["modulation.chi_lookups"] == nsol * report["counters"]["condition_evals"]
+    assert totals["modulation.negative_mode.calls"] == report["counters"]["chi_solves"]
 
 
 def test_traced_modulate_track_counts_one_track(tmp_path):

@@ -18,15 +18,16 @@ def _tool():
 def test_quick_suite_twice_is_identical(tmp_path):
     tool = _tool()
     codes = tool.run_suite(tool.ROOT, tmp_path / "a", quick=True)
-    assert codes == {"simulate": 0, "trajectory": 0, "resave": 0, "modulate-track": 0,
-                     "virial-audit": 0, "soliton-table": 0}
-    saved = tmp_path / "a" / "out" / "trajectory" / "pair.lltraj"
-    assert tool.run_suite(tool.ROOT, tmp_path / "b", quick=True, trajectory=saved) == codes
+    assert codes == {"simulate": 0, "trajectory": 0, "chi-trajectory": 0, "resave": 0,
+                     "modulate-track": 0, "modulate-chi-track": 0, "virial-audit": 0,
+                     "soliton-table": 0}
+    saved = tmp_path / "a" / "out" / "trajectory"
+    assert tool.run_suite(tool.ROOT, tmp_path / "b", quick=True, trajectories=saved) == codes
     lines = tool.compare(tmp_path / "a" / "out", tmp_path / "b" / "out")
-    # 3 files for each of 4 scenarios, 2 each for track and virial-audit, the
-    # trajectory and its index, both again after a load, the soliton table,
-    # the exit codes
-    assert len(lines) == 22, lines
+    # 3 files for each of 5 scenarios, 2 each for the two tracks and
+    # virial-audit, the two trajectories and their indexes, the pair's again
+    # after a load, the soliton table, the exit codes
+    assert len(lines) == 29, lines
     assert all(line.endswith(": identical") for line in lines), lines
 
 

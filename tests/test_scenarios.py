@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ll_lab import (ConfigError, Grid, HydroState, IntegratorConfig, MultiSolitonConfig,
-                    SolitonParams, evolve, integrate, load_scenario, multi_soliton_sum,
-                    run_scenario, scenario_from_dict, write_report, write_table, x_norm)
+from ll_lab import (ChiCache, ConfigError, Grid, HydroState, IntegratorConfig,
+                    ModulationError, MultiSolitonConfig, SolitonParams, evolve, integrate,
+                    load_scenario, modulation, multi_soliton_sum, run_scenario,
+                    scenario_from_dict, scenarios, write_report, write_table, x_norm)
 from ll_lab.dynamics import STEP_SAFETY
 from ll_lab.scenarios import (DiagnosticsConfig, Perturbation, ScenarioConfig,
                               _monotonicity_defect, build_initial, load_config,
@@ -101,6 +102,13 @@ MALFORMED = [
     # numpy's generator takes no negative seed
     ({"perturbation__kind": "random_smooth", "perturbation__amplitude": 0.01,
       "perturbation__seed": -1}, "config.perturbation.seed: must be >= 0"),
+    ({"perturbation__amplitude": -0.01}, "config.perturbation.amplitude: must be >= 0"),
+    ({"perturbation__index": -1}, "config.perturbation.index: must be >= 0, got -1"),
+    ({"name": ""}, "config.name: must be a non-empty string"),
+    ({"integrator__t_end": math.inf}, "config.integrator.t_end: must be finite"),
+    ({"solitons__params": [{"c": 0.5, "a": -15.0}, {"c": 0.3, "a": 15.0}],
+      "solitons__min_separation": 30.0},
+     "config.solitons.params: speeds must be strictly increasing"),
 ]
 
 
@@ -513,6 +521,80 @@ class TestRunScenario:
             columns[name] = [row[0] for row in rows[1:]]
         assert len(columns["diagnostics.csv"]) == 53
         assert columns["diagnostics.csv"] == columns["modulation.csv"]
+
+    def test_track_lost_at_second_snapshot_is_dropped(self, monkeypatch):
+        """A track lost at its second snapshot has one row, too few for
+        rates: the report drops it whole, with its diagnostics, counters and
+        chi nodes, and keeps the error."""
+        decompose = modulation._modulate_raw
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ModulationError("lost here")
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(modulation, "_modulate_raw", second_fails)
+        report = run_scenario(scenario_from_dict(BASE))
+        assert report.error == "modulation: at t = 0.25: lost here"
+        assert report.track is None and report.diagnostics == {}
+        assert report.verdicts == ()
+        payload = report.to_dict()
+        assert payload["counters"] == {} and payload["chi_nodes"] == []
+
+    def _spy_evolve(self, monkeypatch, events):
+        run = scenarios.evolve
+
+        def spy(*args, **kwargs):
+            events.append("evolve")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "evolve", spy)
+
+    def test_guess_cells_solved_before_evolve(self, monkeypatch):
+        """The chi nodes of the guess speeds' cells are solved before evolve
+        starts, once each, and the report lists them."""
+        cfg = scenario_from_dict(variant(solitons=PAIR))
+        step = modulation.CHI_LATTICE_STEP
+        probe = ChiCache(cfg.grid)
+        for c in cfg.solitons.speeds:
+            probe.mode_for(c)
+        guess_nodes = {round(node.c / step) for node in probe.nodes}
+        events = []
+        solve = modulation.negative_mode
+
+        def spy_solve(c, grid, center=None):
+            events.append(c)
+            return solve(c, grid, center)
+
+        monkeypatch.setattr(modulation, "negative_mode", spy_solve)
+        self._spy_evolve(monkeypatch, events)
+        report = run_scenario(cfg)
+        assert report.error is None
+        start = events.index("evolve")
+        before = [round(c / step) for c in events[:start]]
+        after = [round(c / step) for c in events[start + 1:]]
+        assert sorted(before) == sorted(guess_nodes)
+        assert not guess_nodes & set(after)
+        assert {round(node["c"] / step) for node in report.to_dict()["chi_nodes"]} >= guess_nodes
+
+    def test_warm_up_failure_is_met_by_the_track(self, monkeypatch):
+        """A chi solve that fails in the warm-up fails again at the track's
+        first residual pass: the run still evolves, and the error is the
+        track's at t = 0."""
+        events = []
+
+        def refuse(c, grid, center=None):
+            raise ModulationError(f"refused at c = {c:g}")
+
+        monkeypatch.setattr(modulation, "negative_mode", refuse)
+        self._spy_evolve(monkeypatch, events)
+        report = run_scenario(scenario_from_dict(BASE))
+        assert report.error.startswith("modulation: at t = 0: refused at c = "), report.error
+        assert events == ["evolve"]
+        assert list(report.timings) == ["build", "evolve", "track", "diagnostics", "total"]
+        assert report.track is None
 
     def test_write_report_layout(self, tmp_path):
         report = run_scenario(scenario_from_dict(BASE))

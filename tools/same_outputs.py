@@ -15,11 +15,14 @@ identical and every command exited 0 or 1, 2 when ``<rev>`` cannot be
 exported, else 1.
 
 The suite is ``simulate`` on a hydro pair, a sector-0 spin pair, a sector-1
-spin soliton and a pair with fixed-speed paths (and on the three shipped
-configs in the full suite); a saved pair trajectory, that trajectory saved
-again after a load, and ``modulate-track`` on it (both trees load and track
-the trajectory the revision saved, so reading and tracking are compared on
-one input); ``virial-audit``; and ``soliton-table``.
+spin soliton, a pair with fixed-speed paths and a pair pushed along its
+faster soliton's negative direction (and on the three shipped configs in
+the full suite); a saved pair trajectory, that trajectory saved again after
+a load, and ``modulate-track`` on it; the saved trajectory of the
+negative-direction pair and ``modulate-track`` on it, the path of the
+benchmark's track-chi workload; ``virial-audit``; and ``soliton-table``.
+Both trees load and track the trajectories the revision saved, so reading
+and tracking are compared on one input.
 ``--quick`` shortens the runs (T = 1, one virial run to T = 0.5) to a few
 seconds.
 """
@@ -43,16 +46,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
           "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 PAIR = {"params": [{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}], "min_separation": 30.0}
+CHI_PAIR = {"params": [{"c": -0.4, "a": -20.0}, {"c": 0.4, "a": 20.0}], "min_separation": 40.0}
 
-# argv: t_end and the output path; the pair of PAIR, a snapshot every 50 steps
+# argv: a scenario config and the output path; the config's initial datum
+# evolved and saved
 TRAJECTORY_SCRIPT = """
 import sys
-from ll_lab import (Grid, IntegratorConfig, MultiSolitonConfig, SolitonParams, evolve,
-                    multi_soliton_sum, save_trajectory)
-pair = MultiSolitonConfig((SolitonParams(-0.4, -15.0), SolitonParams(0.4, 15.0)), 30.0)
-state = multi_soliton_sum(pair, Grid.centered(1024, 0.1))
-traj = evolve(state, IntegratorConfig(dt=1e-3, t_end=float(sys.argv[1]), sample_stride=50))
-save_trajectory(traj, sys.argv[2])
+from ll_lab import evolve, load_scenario, save_trajectory
+from ll_lab.scenarios import build_initial
+cfg = load_scenario(sys.argv[1])
+save_trajectory(evolve(build_initial(cfg), cfg.integrator), sys.argv[2])
 """
 
 # argv: a saved trajectory and the path to save it to again after a load
@@ -61,6 +64,25 @@ import sys
 from ll_lab import load_trajectory, save_trajectory
 save_trajectory(load_trajectory(sys.argv[1]), sys.argv[2])
 """
+
+
+def pair_run(quick: bool) -> dict:
+    """The unperturbed pair of PAIR stored every 0.05, to save and track
+    (it is not simulated)."""
+    return {"name": "pair", "frame": "hydro", "solitons": PAIR,
+            "perturbation": {"kind": "none"}, "grid": {"n": 1024, "dx": 0.1},
+            "integrator": {"dt": 1e-3, "t_end": 1.0 if quick else 10.0, "sample_stride": 50},
+            "diagnostics": {"y0_list": [], "window_half_width": 8.0}}
+
+
+def chi_pair(quick: bool) -> dict:
+    """The benchmark's track-chi source: the ordered pair at +-20 pushed
+    along the faster soliton's negative direction, stored every 0.1."""
+    return {"name": "chi-pair", "frame": "hydro", "solitons": CHI_PAIR,
+            "perturbation": {"kind": "chi_direction", "amplitude": 0.05, "index": 1},
+            "grid": {"n": 2048, "dx": 0.1},
+            "integrator": {"dt": 1e-3, "t_end": 1.0 if quick else 10.0, "sample_stride": 100},
+            "diagnostics": {"y0_list": [], "window_half_width": 10.0}}
 
 
 def scenarios(quick: bool) -> list[dict]:
@@ -75,7 +97,7 @@ def scenarios(quick: bool) -> list[dict]:
                 "diagnostics": {"y0_list": [5.0, -10.0], "window_half_width": 8.0}}
                for name, frame, solitons in cases]
     configs[-1]["diagnostics"]["gammas"] = [0.0]
-    return configs
+    return configs + [chi_pair(quick)]
 
 
 def _run(tree: Path, side: Path, name: str, argv: list[str]) -> int:
@@ -89,14 +111,16 @@ def _run(tree: Path, side: Path, name: str, argv: list[str]) -> int:
                               stderr=se, check=False).returncode
 
 
-def run_suite(tree: Path, side: Path, quick: bool, trajectory: Path | None = None) -> dict:
+def run_suite(tree: Path, side: Path, quick: bool, trajectories: Path | None = None) -> dict:
     """Run the suite on the ll_lab of ``tree``, with inputs in ``side/inputs``
     and outputs in ``side/out``, and return each command's exit code.
-    The resave and modulate-track read ``trajectory`` when it is given, else
-    the one this run saved, ``side/out/trajectory/pair.lltraj``."""
+    The resave and the modulate-tracks read the trajectories saved in the
+    directory ``trajectories`` when it is given, else those this run saved
+    in ``side/out/trajectory``."""
     inputs, out = side / "inputs", side / "out"
     inputs.mkdir(parents=True)
-    (out / "trajectory").mkdir(parents=True)
+    saved = out / "trajectory"
+    saved.mkdir(parents=True)
     # before gammas alone chose fixed-speed paths, a b_path key selected them
     legacy = "b_path: str" in (tree / "src" / "ll_lab" / "scenarios.py").read_text()
     configs = [] if quick else sorted(str(p) for p in (tree / "demos" / "configs").glob("*.json"))
@@ -105,22 +129,29 @@ def run_suite(tree: Path, side: Path, quick: bool, trajectory: Path | None = Non
             cfg["diagnostics"]["b_path"] = "fixed_speed"
         (inputs / f"{cfg['name']}.json").write_text(json.dumps(cfg))
         configs.append(f"inputs/{cfg['name']}.json")
+    (inputs / "pair.json").write_text(json.dumps(pair_run(quick)))
     (inputs / "guess.json").write_text(json.dumps(PAIR))
-    saved = out / "trajectory" / "pair.lltraj"
+    (inputs / "chi-guess.json").write_text(json.dumps(CHI_PAIR))
     cli = ["-m", "ll_lab.cli"]
     codes = {"simulate": _run(tree, side, "simulate",
                               [*cli, "simulate", *configs, "--out", "out"]),
              "trajectory": _run(tree, side, "trajectory",
-                                ["-c", TRAJECTORY_SCRIPT, "1" if quick else "10",
-                                 str(saved.relative_to(side))])}
-    if (trajectory or saved).is_file():
-        shutil.copyfile(trajectory or saved, inputs / "track.lltraj")
+                                ["-c", TRAJECTORY_SCRIPT, "inputs/pair.json",
+                                 "out/trajectory/pair.lltraj"]),
+             "chi-trajectory": _run(tree, side, "chi-trajectory",
+                                    ["-c", TRAJECTORY_SCRIPT, "inputs/chi-pair.json",
+                                     "out/trajectory/chi-pair.lltraj"])}
+    for name, stem in (("pair", "track"), ("chi-pair", "chi-track")):
+        source = (trajectories or saved) / f"{name}.lltraj"
+        if source.is_file():
+            shutil.copyfile(source, inputs / f"{stem}.lltraj")
     codes["resave"] = _run(tree, side, "resave",
                            ["-c", RESAVE_SCRIPT, "inputs/track.lltraj",
                             "out/trajectory/resaved.lltraj"])
-    codes["modulate-track"] = _run(tree, side, "modulate-track",
-                                   [*cli, "modulate-track", "inputs/track.lltraj",
-                                    "inputs/guess.json", "--out", "out"])
+    for name, guess in (("track", "guess"), ("chi-track", "chi-guess")):
+        codes[f"modulate-{name}"] = _run(tree, side, f"modulate-{name}",
+                                         [*cli, "modulate-track", f"inputs/{name}.lltraj",
+                                          f"inputs/{guess}.json", "--out", "out"])
     codes["virial-audit"] = _run(tree, side, "virial-audit",
                                  [*cli, "virial-audit", "--out", "out",
                                   *(["--runs", "1", "--t-end", "0.5"] if quick else
@@ -228,9 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         work = Path(tmp)
         export(args.rev, work / "tree")
-        saved = work / "rev" / "out" / "trajectory" / "pair.lltraj"
-        for side, tree, trajectory in [("rev", work / "tree", None), ("work", ROOT, saved)]:
-            for name, code in run_suite(tree, work / side, args.quick, trajectory).items():
+        saved = work / "rev" / "out" / "trajectory"
+        for side, tree, trajectories in [("rev", work / "tree", None), ("work", ROOT, saved)]:
+            for name, code in run_suite(tree, work / side, args.quick, trajectories).items():
                 if code not in (0, 1):   # a refused input or a crash: nothing to compare
                     failed = True
                     err = (work / side / "logs" / f"{name}.err").read_text().splitlines()
