@@ -54,6 +54,7 @@ from .dynamics import (
     rhs_spin,
     save_trajectory,
     step_rk4,
+    write_table,
 )
 from .modulation import (
     ChiCache,
@@ -81,7 +82,6 @@ from .scenarios import (
     run_scenario,
     scenario_from_dict,
     write_report,
-    write_table,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, evolve, load_trajectory
+from .dynamics import IntegratorConfig, evolve, load_trajectory, write_table
 from .functionals import seam_norm, virial_U, virial_rate
 from .grid import Grid, HydroState, x_norm
 from .modulation import track_modulation
@@ -57,7 +57,6 @@ from .scenarios import (
     random_smooth_pair,
     run_scenario,
     write_report,
-    write_table,
 )
 from .solitons import MultiSolitonConfig, soliton_hydro, soliton_spin
 
@@ -98,7 +97,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _fail_config(f"duplicate scenario names in batch: {', '.join(dup)}")
 
     exit_code = 0
-    for report in [_run(cfg) for cfg in configs]:
+    for report in map(_run, configs):   # each report written when its run ends
         write_report(report, args.out)
         _print_report(report)
         if not report.all_passed:

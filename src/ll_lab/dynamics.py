@@ -12,8 +12,8 @@ Hydrodynamic frame (v = m3, w = phase gradient):
 The hydrodynamic right-hand side factors exactly as J(L + B) applied to the
 state, where J(f1, f2) = (f2', f1') is the skew symplectic operator,
 L(v, w) = (-v + v'', -w) is the linearization around vacuum, and B collects
-the remaining superlinear terms.  ``rhs_hll`` is computed from the flux form
-independently; agreement with the factored form is a grid-exact identity.
+the remaining superlinear terms.  ``rhs_hll`` is the stepper's flux form;
+its agreement with the factored form is a grid-exact identity.
 
 Integration is classical RK4 through one stepper per frame, built by
 ``_stepper`` and driven by both ``evolve`` and ``step_rk4``.  The hydro
@@ -34,13 +34,13 @@ spectrum of the right-hand side.  An RK4 step makes 8 calls, and
 ``evolve`` adds one rfft of the initial state and one 2-row irfft per
 stored snapshot.  Since i*k is zero at the DC and Nyquist bins, those bins
 of v^ and w^, and with them the integrals of v and w, stay exactly as they
-started.  The physical ``rhs_hll`` (4 calls, 7 real transforms) shares the
-flux arithmetic.  The stage sums run in place with the operand order of
-the textbook formula.  The transforms stay on ``numpy.fft`` (importing
-``scipy.fft`` raised ``python -c "import ll_lab.cli"`` from 0.22 s to
-0.51 s on a 2-core x86-64 host, for transforms only about 10% faster) and
-are looked up as ``np.fft.<name>`` at call time, so a tracer that rebinds
-them sees every call.
+started.  ``rhs_hll`` is this right-hand side between one rfft of (v, w)
+and one irfft (4 calls, 10 real transforms).  The stage sums run in place
+with the operand order of the textbook formula.  The transforms stay on
+``numpy.fft`` (importing ``scipy.fft`` raised ``python -c "import
+ll_lab.cli"`` from 0.22 s to 0.51 s on a 2-core x86-64 host, for
+transforms only about 10% faster) and are looked up as ``np.fft.<name>``
+at call time, so a tracer that rebinds them sees every call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class IntegratorConfig:
         return nsteps
 
 
-def _v_derivatives(v: np.ndarray, grid: Grid) -> np.ndarray:
-    """(v', v'') as one (2, n) array: one rfft of v and one 2-row irfft."""
-    return np.fft.irfft(grid.ik_k2 * np.fft.rfft(v), n=grid.n)
-
-
 def _flux_spectrum(v: np.ndarray, w: np.ndarray, dv: np.ndarray, d2v: np.ndarray,
                    grid: Grid) -> np.ndarray:
     """i*k times the rfft of the fluxes: the (2, n//2 + 1) spectrum of
@@ -143,12 +138,6 @@ def _flux_spectrum(v: np.ndarray, w: np.ndarray, dv: np.ndarray, d2v: np.ndarray
     return spec
 
 
-def _hll_rhs_arrays(v: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
-    """(dv/dt, dw/dt) as one (2, n) array, from 4 transform calls."""
-    dv, d2v = _v_derivatives(v, grid)
-    return np.fft.irfft(_flux_spectrum(v, w, dv, d2v, grid), n=grid.n)
-
-
 def _spectral_rhs(yhat: np.ndarray, grid: Grid, buf: np.ndarray) -> np.ndarray:
     """Spectrum of (dv/dt, dw/dt) from the spectral state yhat = (v^, w^),
     in 2 transform calls; buf is a (4, n//2 + 1) complex work array."""
@@ -173,8 +162,10 @@ def rhs_spin(state: SpinState) -> np.ndarray:
 
 
 def rhs_hll(state: HydroState) -> FieldPair:
-    """Hydrodynamic right-hand side from the flux form."""
-    vdot, wdot = _hll_rhs_arrays(state.v.values, state.w.values, state.grid)
+    """Hydrodynamic right-hand side: the hydro stepper's ``_spectral_rhs`` at
+    the stepper's rfft of (v, w), then one irfft."""
+    hydro = _HydroStepper(state)
+    vdot, wdot = np.fft.irfft(_spectral_rhs(hydro.y, hydro.grid, hydro._buf), n=hydro.grid.n)
     return RealField(state.grid, vdot), RealField(state.grid, wdot)
 
 
@@ -198,7 +189,7 @@ def apply_B(state: HydroState) -> FieldPair:
     grid = state.grid
     v = state.v.values
     w = state.w.values
-    dv, d2v = _v_derivatives(v, grid)
+    dv, d2v = np.fft.irfft(grid.ik_k2 * np.fft.rfft(v), n=grid.n)
     om = 1.0 - v * v
     _check_vacuum(om)
     b1 = d2v * v * v / om + dv * dv * v / (om * om) + v * w * w
@@ -385,13 +376,28 @@ def _record(frame: str, n: int) -> np.dtype:
     return np.dtype([("t", "<f8"), ("fields", "<f8", (2, n) if frame == "hydro" else (n, 3))])
 
 
+def write_table(fh, columns: Mapping[str, Sequence]) -> None:
+    """Write named columns of equal length to the open text file ``fh`` as
+    RFC-4180 CSV: a header row of the names, in order, then one row per
+    index, every value as ``f"{x:.17g}"``.  Seventeen significant digits
+    read back to the same double, and an integer is written as one."""
+    if not columns:
+        raise ValueError("a table needs at least one column")
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    if len({len(col) for col in values}) != 1:
+        raise ValueError(f"columns differ in length: {[len(col) for col in values]}")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows([f"{x:.17g}" for x in row] for row in zip(*values))
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as little-endian binary plus a CSV snapshot index.
 
     Layout: the ``_HEADER`` record (magic, n, dx, x_min, frame tag,
     snapshot count, error length), the error string, then one ``_record``
-    per snapshot.  The index file ``<path>.index.csv`` lists snapshot
-    number, time, and byte offset of each record.
+    per snapshot.  The index file ``<path>.index.csv``, a :func:`write_table`
+    table, lists snapshot number, time, and byte offset of each record.
     """
     path = str(path)
     grid = traj.grid
@@ -407,12 +413,10 @@ def save_trajectory(traj: Trajectory, path) -> None:
         fh.write(header.tobytes())
         fh.write(err)
         fh.write(records.tobytes())
-    start = header.itemsize + len(err)
+    snapshots = np.arange(len(traj))
     with open(path + ".index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snapshot", "t", "byte_offset"])
-        writer.writerows([i, f"{t:.17g}", start + i * records.itemsize]
-                         for i, t in enumerate(traj.times))
+        write_table(fh, {"snapshot": snapshots, "t": traj.times,
+                         "byte_offset": header.itemsize + len(err) + snapshots * records.itemsize})
 
 
 def load_trajectory(path) -> Trajectory:

@@ -428,11 +428,17 @@ class ChiCache:
         return min(max(k, 1), top - 1) if c > 0.0 else min(max(k, -top), -2)
 
     def prepare(self, speeds) -> None:
-        """Solve the nodes of the cells that serve ``speeds`` now, so that
-        their later lookups by :meth:`mode_for` find them; the values served
-        are the same whenever the nodes are solved."""
-        for c in speeds:
-            self._cell(self._cell_index(c))
+        """Solve now the nodes that the first residual pass from ``speeds``
+        looks up: none for speeds that fail :func:`_speed_guard`, as that
+        pass looks nothing up.  A failed solve ends this unraised, for that
+        pass to meet again at the same node; chi is the same either way."""
+        cs = np.asarray(speeds, dtype=float).tolist()
+        try:
+            _speed_guard(cs)
+            for c in cs:
+                self._cell(self._cell_index(c))
+        except ModulationError:
+            pass
 
     def mode_for(self, c: float) -> tuple[np.ndarray, np.ndarray]:
         """The rfft of the rows (chi_v, chi_w) at c and of their slope
@@ -489,17 +495,22 @@ class ModulationResult:
     jacobian_builds: int
 
 
-def _guarded_sum(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, ProfileJet]:
-    """The superposition sum_k s_k Q_k as a (2, n) array, with the profile
-    jet of all solitons, once the speeds pass the ordering and range guards."""
+def _speed_guard(cs: list[float]) -> None:
+    """The ordering and range guards of the speeds ``cs``: a ModulationError
+    unless they increase and keep SPEED_MARGIN < |c| < 1 - SPEED_MARGIN."""
     # on Python floats: N is small, and these run at every residual pass
-    cs = speeds.tolist()
     if any(b <= a for a, b in zip(cs, cs[1:])):
         raise ModulationError(f"ordering lost: speeds {cs} are not increasing")
     if any(abs(c) >= 1.0 - SPEED_MARGIN or abs(c) <= SPEED_MARGIN for c in cs):
         raise ModulationError(
             f"speed out of range: speeds {cs} left "
             f"[{SPEED_MARGIN}, {1.0 - SPEED_MARGIN}] in magnitude")
+
+
+def _guarded_sum(speeds, centers, signs, grid: Grid) -> tuple[np.ndarray, ProfileJet]:
+    """The superposition sum_k s_k Q_k as a (2, n) array, with the profile
+    jet of all solitons, once the speeds pass :func:`_speed_guard`."""
+    _speed_guard(speeds.tolist())
     return _sum_profile_arrays(speeds, centers, signs, grid)
 
 
@@ -800,13 +811,11 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
     previous solve ended on, so that the exact Jacobian is built only where
     a carried step falls short (:func:`_modulate_raw`).
 
-    The rows and the Newton counts do not depend on the cache's history:
-    chi is a function of c alone, so a cache that has served other speeds
-    gives the same track bit for bit.  ``chi_nodes`` lists every node the
-    cache holds at the end; for a new cache, or one prepared
-    (:meth:`ChiCache.prepare`) for the guess speeds only, these are the
-    nodes the track looks up, since its first residual pass looks up the
-    cells of the guess speeds.
+    A given cache may hold only nodes of the guess speeds' cells, which the
+    first residual pass looks up, as a new cache or one prepared for those
+    speeds by :meth:`ChiCache.prepare` does; any other node raises
+    ValueError.  So ``chi_nodes``, every node the cache holds at the end,
+    are the nodes of the cold track.
 
     Tracking stops at the first snapshot that cannot be decomposed (a
     :class:`ModulationError`, or a :class:`VacuumBreakdown` of the snapshot
@@ -820,6 +829,10 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
         chi = ChiCache(grid)
     elif chi.grid != grid:
         raise ValueError(f"chi cache is on {chi.grid}, the trajectory on {grid}")
+    elif not set(chi._nodes) <= {abs(k + j) for k in map(chi._cell_index, guess.speeds)
+                                 for j in (0, 1)}:
+        raise ValueError(f"chi cache holds nodes at {[m.c for m in chi.nodes]}, "
+                         "off the guess speeds' cells")
     nsol = guess.n_solitons
     times = np.asarray(traj.times, dtype=float)
     speeds = np.empty((len(traj), nsol))

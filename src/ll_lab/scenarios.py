@@ -18,8 +18,10 @@ A run's diagnostics are one dict of named columns, keyed by the
 diagnostics.csv header names in header order, and the verdicts read those
 columns, so they are pure functions of the emitted series.
 ``write_report`` emits diagnostics.csv, modulation.csv, and report.json for
-every subcommand's ``RunReport``; every CSV of a run, these two and the
-CLI's virial and soliton tables, goes through the one ``write_table``.
+every subcommand's ``RunReport``; every CSV of a run, these two, the
+CLI's virial and soliton tables and a saved trajectory's ``.index.csv``,
+goes through the one ``write_table``, which lives in ``dynamics`` beside
+the trajectory format.
 
 Configs are strict JSON read by ``read_config``, for which the config
 dataclasses are the schema: unknown keys are rejected with the offending
@@ -28,7 +30,6 @@ field path, so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_t
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, evolve, step_rk4
+from .dynamics import IntegratorConfig, evolve, step_rk4, write_table
 from .functionals import (
     energy_hydro,
     localized_momentum,
@@ -50,9 +51,7 @@ from .functionals import (
 )
 from .grid import Grid, HydroState, integrate, window_norm, x_norm_arrays
 from .modulation import (
-    SPEED_MARGIN,
     ChiCache,
-    ModulationError,
     ModulationTrack,
     negative_mode,
     track_modulation,
@@ -506,7 +505,9 @@ def _build_verdicts(cfg: ScenarioConfig, diag: Mapping[str, np.ndarray],
                     track: Optional[ModulationTrack],
                     rate_fd_err: Optional[float], nu: float) -> list[Verdict]:
     """The verdicts of a run, from the diagnostics columns ``diag`` (empty
-    without a track), the track, and the rate check's worst error."""
+    without a track), the track, and the rate check's worst error.  A track
+    lost before its second row is None here, but a clean run to t_end = 0
+    keeps its one row, so the track verdicts still ask for two rows."""
     verdicts: list[Verdict] = []
     nsol = cfg.solitons.n_solitons
     alpha = cfg.perturbation.amplitude
@@ -579,16 +580,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     start = reconstruct_spin(state0) if cfg.frame == "spin" else state0
     timings["build"] = time.perf_counter() - t0
 
-    # the chi warm-up: the cells of the guess speeds, which the track's
-    # first residual pass looks up, solved before the trajectory exists; a
-    # failure is met again by that pass and reported by the track
+    # the chi warm-up: the cells the track's first residual pass looks up,
+    # solved before the trajectory exists
     t0 = time.perf_counter()
     chi = ChiCache(cfg.grid)
-    try:
-        chi.prepare([c for c in cfg.solitons.speeds.tolist()
-                     if SPEED_MARGIN < abs(c) < 1.0 - SPEED_MARGIN])
-    except ModulationError:
-        pass
+    chi.prepare(cfg.solitons.speeds)
     warm_up = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -623,21 +619,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     timings["total"] = time.perf_counter() - t_total
     return RunReport(name=cfg.name, config=cfg.to_dict(), verdicts=tuple(verdicts),
                      timings=timings, diagnostics=diag, track=track, error=error)
-
-
-def write_table(fh, columns: Mapping[str, Sequence]) -> None:
-    """Write named columns of equal length to the open text file ``fh`` as
-    RFC-4180 CSV: a header row of the names, in order, then one row per
-    index, every value as ``f"{x:.17g}"``.  Seventeen significant digits
-    read back to the same double, and an integer is written as one."""
-    if not columns:
-        raise ValueError("a table needs at least one column")
-    values = [np.asarray(col).tolist() for col in columns.values()]
-    if len({len(col) for col in values}) != 1:
-        raise ValueError(f"columns differ in length: {[len(col) for col in values]}")
-    writer = csv.writer(fh)
-    writer.writerow(columns)
-    writer.writerows([f"{x:.17g}" for x in row] for row in zip(*values))
 
 
 def write_report(report: RunReport, out_root) -> Path:

@@ -146,6 +146,26 @@ class TestSimulate:
         assert payload["verdicts"] == [] and payload["counters"] == {}
         assert "tiny: ERROR" in capsys.readouterr().out
 
+    def test_each_report_written_when_its_run_ends(self, tmp_path, capsys, monkeypatch):
+        """A batch writes and prints each scenario's report before the next
+        scenario runs."""
+        second = copy.deepcopy(TINY)
+        second["name"] = "second"
+        paths = [write_config(tmp_path, TINY, "a.json"), write_config(tmp_path, second, "b.json")]
+        out = tmp_path / "out"
+        seen = []
+        run_scenario = cli.run_scenario
+
+        def spy(cfg):
+            seen.append((cfg.name, (out / "tiny" / "report.json").is_file(),
+                         "tiny:" in capsys.readouterr().out))
+            return run_scenario(cfg)
+
+        monkeypatch.setattr(cli, "run_scenario", spy)
+        assert main(["simulate", *map(str, paths), "--out", str(out)]) == 0
+        assert seen == [("tiny", False, False), ("second", True, True)]
+        assert (out / "second" / "report.json").is_file()
+
     @pytest.mark.parametrize("integrator", [
         {"dt": 0.005, "t_end": 1.0, "sample_stride": 250},    # over the step bound
         {"dt": 0.001, "t_end": 1.0005, "sample_stride": 250},  # dt does not divide t_end

@@ -152,11 +152,14 @@ class TestFusedPathBits:
         return HydroState.from_arrays(grid, base.v.values + dv, base.w.values + dw)
 
     def _assert_rhs_equal(self, state):
-        v, w = state.v.values, state.w.values
-        got = dynamics._hll_rhs_arrays(v, w, state.grid)
-        want = oracle._hll_rhs_arrays(v, w, state.grid)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        """rhs_hll is the irfft of the reference's spectral right-hand side
+        at the rfft of (v, w), bit for bit."""
+        grid = state.grid
+        got = rhs_hll(state)
+        want = oracle._spectral_rhs(np.fft.rfft(state.v.values), np.fft.rfft(state.w.values),
+                                    grid)
+        for field, spectrum in zip(got, want):
+            assert np.array_equal(field.values, np.fft.irfft(spectrum, n=grid.n))
 
     def test_rhs_on_perturbed_pair(self):
         self._assert_rhs_equal(self._perturbed_pair())
@@ -168,9 +171,10 @@ class TestFusedPathBits:
         self._assert_rhs_equal(state)
         below = soliton_state(0.0009, grid)
         assert below.vacuum_margin() < VACUUM_GUARD
-        for rhs in (dynamics._hll_rhs_arrays, oracle._hll_rhs_arrays):
-            with pytest.raises(VacuumBreakdown):
-                rhs(below.v.values, below.w.values, grid)
+        with pytest.raises(VacuumBreakdown):
+            rhs_hll(below)
+        with pytest.raises(VacuumBreakdown):
+            oracle._spectral_rhs(np.fft.rfft(below.v.values), np.fft.rfft(below.w.values), grid)
 
     def test_hydro_steps(self):
         state = self._perturbed_pair()

@@ -613,6 +613,23 @@ class TestTrackModulation:
         with pytest.raises(ValueError, match="chi cache is on"):
             track_modulation(traj, SPLICE_PAIR, ChiCache(other))
 
+    def test_cache_with_nodes_off_the_guess_cells_rejected(self):
+        """A cache that served c = 0.605 holds the nodes 0.6 and 0.62, which
+        a c = 0.5 track does not look up: the track refuses it rather than
+        list those nodes in its ``chi_nodes``.  A new cache gives the two
+        nodes of the cell of 0.5."""
+        grid = Grid(n=1024, dx=0.1, x_min=-51.2)
+        cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
+        traj = evolve(multi_soliton_sum(cfg, grid),
+                      IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=250))
+        used = ChiCache(grid)
+        used.mode_for(0.605)
+        with pytest.raises(ValueError, match="off the guess speeds' cells"):
+            track_modulation(traj, cfg, used)
+        cold = track_modulation(traj, cfg)
+        assert [node["c"] for node in cold.chi_nodes] == [0.5, 0.52]
+        assert cold.counters["chi_solves"] == 2
+
     def test_empty_trajectory_rejected(self):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
         cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
@@ -690,6 +707,31 @@ class TestChiCache:
             got_hat, got_slope = prepared.mode_for(c)
             assert got_hat.tobytes() == hat.tobytes()
             assert got_slope.tobytes() == slope.tobytes()
+
+    @pytest.mark.parametrize("speeds", [(0.0005,), (0.5, 0.3), (0.4, 0.9995)])
+    def test_prepare_skips_speeds_that_fail_the_guard(self, monkeypatch, speeds):
+        """Speeds out of range or out of order fail the residual pass's guard
+        before any lookup, so ``prepare`` solves nothing for them."""
+        calls = []
+        monkeypatch.setattr(modulation, "negative_mode", lambda *args: calls.append(args))
+        cache = ChiCache(self.grid)
+        cache.prepare(speeds)
+        assert calls == [] and cache.nodes == []
+
+    def test_prepare_leaves_a_failed_solve_to_the_track(self, monkeypatch):
+        """A solve that fails inside ``prepare`` is not raised, and no node
+        past it is solved: the track's first pass meets it at the same
+        node."""
+        calls = []
+
+        def failing(c, grid, center=None):
+            calls.append(c)
+            raise ModulationError("negative direction not certified")
+
+        monkeypatch.setattr(modulation, "negative_mode", failing)
+        cache = ChiCache(self.grid)
+        cache.prepare((-0.41, 0.605))
+        assert calls == [pytest.approx(0.42)] and cache.nodes == []
 
     def test_mirrored_node_is_certified(self):
         """The spectrum of a node c_k < 0 is that of S chi_{|c_k|}, equal bit

@@ -4,8 +4,9 @@ A deletion can leave an import, or a private helper, behind that nothing
 reads any more.  These tests parse every module of ``src/ll_lab`` and
 assert that each name a module imports is read somewhere in it
 (``__init__.py`` is exempt: its imports are the package's public names),
-and that each module-level private name (``_name``) defined anywhere in the
-package is read somewhere in the package.
+that each module-level private name (``_name``) defined anywhere in the
+package is read somewhere in the package, and that one module imports
+``csv``.
 """
 
 import ast
@@ -87,3 +88,22 @@ def test_checker_flags_an_unread_private_name():
                        "def _orphan():\n    return 1\n\nclass _Spare:\n    pass\n",
                "b.py": "from .a import _orphan, _used\n\nVALUE = _used()\n"}
     assert _unread_private_names(sources) == ["a.py:6: _orphan", "a.py:9: _Spare"]
+
+
+def _importers(module: str) -> list[str]:
+    """The package modules that import the top-level module ``module``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [alias.name for node in nodes if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        if any(name.split(".")[0] == module for name in names):
+            found.append(path.name)
+    return found
+
+
+def test_one_csv_writer():
+    """Every CSV is written by the one ``write_table``, so one module
+    imports ``csv``."""
+    assert _importers("csv") == ["dynamics.py"]
