@@ -1,32 +1,32 @@
 """Check the virial growth bound U' >= 1/4 ||(v,w)||_X^2 on seeded
-small-amplitude runs (the quantitative heart of the Liouville argument)."""
+small-amplitude runs (the quantitative heart of the Liouville argument),
+through the same audit as ``ll-lab virial-audit``."""
 
 import numpy as np
 
-from ll_lab import (Grid, HydroState, IntegratorConfig, evolve,
-                    random_smooth_pair, virial_rate, x_norm)
+from ll_lab import run_virial_audit
 
 AMPLITUDE = 0.01
 RUNS = 5
 T = 10.0
+SEED = 100
 
 
 def main():
-    grid = Grid(n=2048, dx=0.1, x_min=-102.4)
-    config = IntegratorConfig(dt=2e-3, t_end=T, sample_stride=250)
     print(f"{RUNS} runs, amplitude {AMPLITUDE}, T = {T}")
-    worst = np.inf
-    for k in range(RUNS):
-        dv, dw = random_smooth_pair(grid, AMPLITUDE, seed=100 + k,
-                                    max_mode=8, sigma=grid.period / 10.0)
-        traj = evolve(HydroState.from_arrays(grid, dv, dw), config)
-        margins = [virial_rate(s) - 0.25 * x_norm(s) ** 2 for s in traj.states]
-        worst = min(worst, min(margins))
-        print(f"  seed {100 + k}: min margin {min(margins):+.6e} "
-              f"(U' range [{min(margins) + 0.25 * x_norm(traj.states[0]) ** 2:.3e}, "
-              f"{max(virial_rate(s) for s in traj.states):.3e}])")
+    report, table = run_virial_audit(AMPLITUDE, SEED, RUNS, T)
+    run = np.asarray(table["run"])
+    margin = np.asarray(table["margin"])
+    rate = np.asarray(table["rate"])
+    for k in range(len(report.verdicts)):
+        rows = run == k
+        print(f"  seed {SEED + k}: min margin {margin[rows].min():+.6e} "
+              f"(max U' {rate[rows].max():.3e})")
+    if report.error is not None:
+        print(f"stopped: {report.error}")
+    worst = min((v.measured for v in report.verdicts), default=np.nan)
     print(f"worst margin over all runs: {worst:+.6e} "
-          f"({'coercive' if worst >= 0 else 'VIOLATED'})")
+          f"({'coercive' if report.all_passed else 'VIOLATED'})")
 
 
 if __name__ == "__main__":

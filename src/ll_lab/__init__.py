@@ -63,7 +63,6 @@ from .modulation import (
     ModulationResult,
     ModulationTrack,
     NegativeMode,
-    grad_EP,
     hessian_apply,
     modulate,
     negative_mode,
@@ -80,6 +79,8 @@ from .scenarios import (
     load_scenario,
     random_smooth_pair,
     run_scenario,
+    run_track,
+    run_virial_audit,
     scenario_from_dict,
     write_report,
 )

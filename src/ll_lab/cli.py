@@ -1,8 +1,12 @@
 """Command-line surface: scenario batches, modulation tracking of saved
 trajectories, the virial audit, and soliton tables.
 
-Every subcommand but ``soliton-table`` records its run as one
-:class:`~ll_lab.scenarios.RunReport` and writes it with ``write_report`` to
+The CLI parses options, prints, and maps errors to exit codes; the runs
+are library calls.  Every subcommand but ``soliton-table`` is one entry of
+:mod:`ll_lab.scenarios` (``run_scenario``, ``run_track``,
+``run_virial_audit``), which builds the run's verdicts and returns its
+:class:`~ll_lab.scenarios.RunReport`, or raises ``ConfigError`` for input
+it refuses.  The CLI writes the report with ``write_report`` to
 ``<out>/<name>/report.json`` (keys scenario, config, verdicts, timings,
 counters, chi_nodes, threads, error).  Exit codes:
 
@@ -37,28 +41,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, evolve, load_trajectory, write_table
-from .functionals import seam_norm, virial_U, virial_rate
-from .grid import Grid, HydroState, x_norm
-from .modulation import track_modulation
+from .dynamics import write_table
 from .scenarios import (
     ConfigError,
     RunReport,
     ScenarioConfig,
-    Verdict,
-    load_config,
     load_scenario,
-    random_smooth_pair,
     run_scenario,
+    run_track,
+    run_virial_audit,
     write_report,
 )
-from .solitons import MultiSolitonConfig, soliton_hydro, soliton_spin
+from .solitons import soliton_hydro, soliton_spin
 
 
 def _fail_config(message: str) -> int:
@@ -107,32 +106,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_modulate_track(args: argparse.Namespace) -> int:
     try:
-        guess = load_config(MultiSolitonConfig, args.guess)
-        if not Path(args.trajectory).is_file():
-            raise ConfigError(f"{args.trajectory}: no such trajectory file")
-        try:
-            traj = load_trajectory(args.trajectory)
-        except ValueError as exc:
-            raise ConfigError(f"{args.trajectory}: {exc}") from exc
-        if len(traj) == 0:
-            raise ConfigError(f"{args.trajectory}: trajectory holds no snapshots")
+        report = run_track(args.trajectory, args.guess)
     except ConfigError as exc:
         return _fail_config(str(exc))
-
-    t0 = time.perf_counter()
-    track = track_modulation(traj, guess)
-    wall = time.perf_counter() - t0
-
-    verdicts = ()
-    if len(track.times):
-        max_iters = int(np.max(track.newton_iters))
-        max_ortho = float(np.max(track.orthogonality))
-        verdicts = (Verdict("newton_iterations", max_iters <= 5, max_iters, 5),
-                    Verdict("orthogonality", max_ortho <= 1e-9, max_ortho, 1e-9))
-    report = RunReport(name=Path(args.trajectory).stem,
-                       config={"trajectory": args.trajectory, "guess": args.guess},
-                       verdicts=verdicts, timings={"total": wall}, track=track,
-                       error=track.error)
     write_report(report, args.out)
     _print_report(report)
     return 0 if report.all_passed else 1
@@ -147,47 +123,10 @@ def _cmd_virial_audit(args: argparse.Namespace) -> int:
         return _fail_config(f"--seed must be >= 0, got {args.seed}")
     if not (math.isfinite(args.t_end) and args.t_end > 0.0):
         return _fail_config(f"--t-end must be finite and positive, got {args.t_end}")
-
-    grid = Grid(n=2048, dx=0.1, x_min=-102.4)
-    integ = IntegratorConfig(dt=2e-3, t_end=args.t_end, sample_stride=50)
-    t0 = time.perf_counter()
-    data = []
-    for k in range(args.runs):
-        dv, dw = random_smooth_pair(grid, args.amplitude, args.seed + k,
-                                    max_mode=8, sigma=grid.period / 10.0)
-        try:
-            state = HydroState.from_arrays(grid, dv, dw)
-            integ.n_steps(grid, state.vacuum_margin())
-        except ValueError as exc:
-            return _fail_config(f"run {k}: {exc}")
-        data.append(state)
-
-    table = {"run": [], "t": [], "U": [], "rate": [], "quarter_xnorm2": [], "margin": [],
-             "seam": []}
-    verdicts = []
-    error = None
-    for k, state0 in enumerate(data):
-        traj = evolve(state0, integ)
-        if traj.error is not None:
-            error = f"run {k}: {traj.error}"
-            break
-        margin_min = math.inf
-        for t, state in zip(traj.times, traj.states):
-            rate = virial_rate(state)
-            quarter = 0.25 * x_norm(state) ** 2
-            margin = rate - quarter
-            margin_min = min(margin_min, margin)
-            for col, value in zip(table.values(),
-                                  (k, float(t), virial_U(state), rate, quarter, margin,
-                                   seam_norm(state))):
-                col.append(value)
-        verdicts.append(Verdict(f"coercivity_run{k}", margin_min >= 0.0, margin_min, 0.0))
-
-    report = RunReport(name="virial-audit",
-                       config={"amplitude": args.amplitude, "seed": args.seed,
-                               "runs": args.runs, "t_end": args.t_end},
-                       verdicts=tuple(verdicts),
-                       timings={"total": time.perf_counter() - t0}, error=error)
+    try:
+        report, table = run_virial_audit(args.amplitude, args.seed, args.runs, args.t_end)
+    except ConfigError as exc:
+        return _fail_config(str(exc))
     out_dir = write_report(report, args.out)
     with open(out_dir / "virial.csv", "w", newline="") as fh:
         write_table(fh, table)

@@ -79,28 +79,8 @@ class ModulationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# first variation and Hessian
+# the Hessian
 # ---------------------------------------------------------------------------
-
-def grad_EP(state: HydroState) -> tuple[FieldPair, FieldPair]:
-    """(grad E, grad P) at the state, as field pairs.
-
-    grad E = ( -d/dx( v'/(1-v^2) ) + v (v')^2/(1-v^2)^2 - v w^2 + v,
-               (1-v^2) w ),
-    grad P = ( w, v ).
-    """
-    grid = state.grid
-    v = state.v.values
-    w = state.w.values
-    om = 1.0 - v * v
-    dv = deriv_array(v, grid, 1)
-    ge1 = (-deriv_array(dv / om, grid, 1) + v * dv * dv / (om * om)
-           - v * w * w + v)
-    ge2 = om * w
-    gradE = (RealField(grid, ge1), RealField(grid, ge2))
-    gradP = (RealField(grid, w), RealField(grid, v))
-    return gradE, gradP
-
 
 @dataclass(frozen=True, eq=False)
 class HessianOperator:
@@ -154,7 +134,9 @@ class HessianOperator:
 
 
 def hessian_apply(op: HessianOperator, h: FieldPair) -> FieldPair:
-    """H_c h as the exact Jacobian of the discrete grad E - c grad P at Q_c.
+    """H_c h as the exact Jacobian of the discrete grad E - c grad P at Q_c
+    (the tests' ``modulation_oracle.grad_EP`` spells out grad E and grad P
+    and checks this closed form against their central difference).
 
     With D the spectral derivative, v' = D v and om = 1 - v^2 at the profile,
 

@@ -1,5 +1,11 @@
 """Scenario configs, the experiment pipeline, and verdict reports.
 
+Every run is one of three library entries, each returning the
+:class:`RunReport` that holds its verdicts: ``run_scenario`` runs a scenario
+config, ``run_track`` tracks a saved trajectory from a guess file, and
+``run_virial_audit`` checks the virial bound along seeded small random flows.
+Each raises ``ConfigError`` for input it refuses, before any run starts.
+
 A scenario bundles a multi-soliton configuration, an optional perturbation,
 a grid, integrator settings, and the diagnostics to record.  ``run_scenario``
 runs five stages in order: it builds the initial state; solves the negative
@@ -18,8 +24,8 @@ A run's diagnostics are one dict of named columns, keyed by the
 diagnostics.csv header names in header order, and the verdicts read those
 columns, so they are pure functions of the emitted series.
 ``write_report`` emits diagnostics.csv, modulation.csv, and report.json for
-every subcommand's ``RunReport``; every CSV of a run, these two, the
-CLI's virial and soliton tables and a saved trajectory's ``.index.csv``,
+every entry's ``RunReport``; every CSV of a run, these two, the
+virial and soliton tables and a saved trajectory's ``.index.csv``,
 goes through the one ``write_table``, which lives in ``dynamics`` beside
 the trajectory format.
 
@@ -40,7 +46,7 @@ from typing import Any, Mapping, Optional, Sequence, get_args, get_origin, get_t
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, evolve, step_rk4, write_table
+from .dynamics import IntegratorConfig, evolve, load_trajectory, step_rk4, write_table
 from .functionals import (
     energy_hydro,
     localized_momentum,
@@ -48,8 +54,9 @@ from .functionals import (
     momentum,
     seam_norm,
     virial_U,
+    virial_rate,
 )
-from .grid import Grid, HydroState, integrate, window_norm, x_norm_arrays
+from .grid import Grid, HydroState, integrate, window_norm, x_norm, x_norm_arrays
 from .modulation import (
     ChiCache,
     ModulationTrack,
@@ -146,6 +153,14 @@ class ScenarioConfig:
                 f"perturbation.index: {self.perturbation.index} out of range for {nsol} solitons")
         if self.perturbation.kind == "between_bump" and nsol < 2:
             raise ConfigError("perturbation.kind: between_bump needs at least two solitons")
+        if nsol >= 2:
+            # on the torus the last soliton's next neighbour is the first
+            params = self.solitons.params
+            wrap_gap = params[0].a + self.grid.period - params[-1].a
+            if wrap_gap < self.solitons.min_separation:
+                raise ConfigError(
+                    f"solitons.params: gap a_1 + period - a_N = {wrap_gap:g} through the "
+                    f"periodic seam is below min_separation {self.solitons.min_separation}")
         # the step bound at the soliton sum's margin; the spin frame keeps m = 1
         try:
             margin = multi_soliton_sum(self.solitons, self.grid).vacuum_margin()
@@ -619,6 +634,94 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     timings["total"] = time.perf_counter() - t_total
     return RunReport(name=cfg.name, config=cfg.to_dict(), verdicts=tuple(verdicts),
                      timings=timings, diagnostics=diag, track=track, error=error)
+
+
+def run_track(trajectory_path, guess_path) -> RunReport:
+    """Track a saved trajectory from a guess file (a scenario's solitons
+    section) and judge the Newton iteration count and the orthogonality.
+
+    The report is named after the trajectory file's stem and echoes both
+    paths.  A bad guess, or a trajectory file that is missing, unreadable
+    or empty, raises ConfigError; a lost decomposition is recorded.
+    """
+    guess = load_config(MultiSolitonConfig, guess_path)
+    if not Path(trajectory_path).is_file():
+        raise ConfigError(f"{trajectory_path}: no such trajectory file")
+    try:
+        traj = load_trajectory(trajectory_path)
+    except ValueError as exc:
+        raise ConfigError(f"{trajectory_path}: {exc}") from exc
+    if len(traj) == 0:
+        raise ConfigError(f"{trajectory_path}: trajectory holds no snapshots")
+
+    t0 = time.perf_counter()
+    track = track_modulation(traj, guess)
+    wall = time.perf_counter() - t0
+
+    verdicts = ()
+    if len(track.times):
+        max_iters = int(np.max(track.newton_iters))
+        max_ortho = float(np.max(track.orthogonality))
+        verdicts = (Verdict("newton_iterations", max_iters <= 5, max_iters, 5),
+                    Verdict("orthogonality", max_ortho <= 1e-9, max_ortho, 1e-9))
+    return RunReport(name=Path(trajectory_path).stem,
+                     config={"trajectory": str(trajectory_path), "guess": str(guess_path)},
+                     verdicts=verdicts, timings={"total": wall}, track=track,
+                     error=track.error)
+
+
+def run_virial_audit(amplitude: float, seed: int, runs: int,
+                     t_end: float) -> tuple[RunReport, dict[str, list]]:
+    """Check the virial bound U' >= 1/4 ||(v, w)||_X^2 along ``runs`` small
+    random flows (run k seeded ``seed`` + k), and return the report with
+    the virial.csv columns.  Each run earns one ``coercivity_run<k>``
+    verdict, its least margin over the samples.
+
+    Every datum is drawn and checked first: one that is not a non-vacuum
+    state, or is too near vacuum for dt, raises ConfigError naming its run.
+    A run that breaks down ends the audit; the runs before it are kept.
+    """
+    grid = Grid(n=2048, dx=0.1, x_min=-102.4)
+    integ = IntegratorConfig(dt=2e-3, t_end=t_end, sample_stride=50)
+    t0 = time.perf_counter()
+    data = []
+    for k in range(runs):
+        dv, dw = random_smooth_pair(grid, amplitude, seed + k,
+                                    max_mode=8, sigma=grid.period / 10.0)
+        try:
+            state = HydroState.from_arrays(grid, dv, dw)
+            integ.n_steps(grid, state.vacuum_margin())
+        except ValueError as exc:
+            raise ConfigError(f"run {k}: {exc}") from exc
+        data.append(state)
+
+    table: dict[str, list] = {"run": [], "t": [], "U": [], "rate": [], "quarter_xnorm2": [],
+                              "margin": [], "seam": []}
+    verdicts = []
+    error = None
+    for k, state0 in enumerate(data):
+        traj = evolve(state0, integ)
+        if traj.error is not None:
+            error = f"run {k}: {traj.error}"
+            break
+        margin_min = math.inf
+        for t, state in zip(traj.times, traj.states):
+            rate = virial_rate(state)
+            quarter = 0.25 * x_norm(state) ** 2
+            margin = rate - quarter
+            margin_min = min(margin_min, margin)
+            for col, value in zip(table.values(),
+                                  (k, float(t), virial_U(state), rate, quarter, margin,
+                                   seam_norm(state))):
+                col.append(value)
+        verdicts.append(Verdict(f"coercivity_run{k}", margin_min >= 0.0, margin_min, 0.0))
+
+    report = RunReport(name="virial-audit",
+                       config={"amplitude": amplitude, "seed": seed, "runs": runs,
+                               "t_end": t_end},
+                       verdicts=tuple(verdicts),
+                       timings={"total": time.perf_counter() - t0}, error=error)
+    return report, table
 
 
 def write_report(report: RunReport, out_root) -> Path:

@@ -7,14 +7,17 @@ step; the tests assert that both give the same F, J and eps to rounding.
 ``_conditions`` and the per-soliton jet it reads are kept here as they
 were written; ``_Lookup`` serves the cache's interpolated chi, its
 spectral derivative and its slope in c to them, through the per-mode
-``shifted`` translation they call.
+``shifted`` translation they call.  ``grad_EP`` writes out the first
+variations grad E and grad P, whose central difference the closed-form
+Hessian ``hessian_apply`` is checked against.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from ll_lab.grid import Grid
+from ll_lab.dynamics import FieldPair
+from ll_lab.grid import Grid, HydroState, RealField, deriv_array
 from ll_lab.modulation import ChiCache, ModulationError
 from ll_lab.solitons import soliton_nu
 
@@ -150,3 +153,23 @@ def exact_newton(params: np.ndarray, state: np.ndarray, grid: Grid, signs: np.nd
             break
         p, f, eps, point = trial, f_new, eps_new, point_new
     return p
+
+
+def grad_EP(state: HydroState) -> tuple[FieldPair, FieldPair]:
+    """(grad E, grad P) at the state, as field pairs.
+
+    grad E = ( -d/dx( v'/(1-v^2) ) + v (v')^2/(1-v^2)^2 - v w^2 + v,
+               (1-v^2) w ),
+    grad P = ( w, v ).
+    """
+    grid = state.grid
+    v = state.v.values
+    w = state.w.values
+    om = 1.0 - v * v
+    dv = deriv_array(v, grid, 1)
+    ge1 = (-deriv_array(dv / om, grid, 1) + v * dv * dv / (om * om)
+           - v * w * w + v)
+    ge2 = om * w
+    gradE = (RealField(grid, ge1), RealField(grid, ge2))
+    gradP = (RealField(grid, w), RealField(grid, v))
+    return gradE, gradP

@@ -37,12 +37,12 @@ from ll_lab import (
     reconstruct_spin,
     rhs_hll,
     run_scenario,
+    run_virial_audit,
     soliton_energy,
     soliton_hydro,
     soliton_momentum,
     soliton_nu,
     virial_linear_identity,
-    virial_rate,
     x_norm,
 )
 
@@ -175,17 +175,11 @@ def test_ac04_virial_identity_and_coercivity():
         lhs, rhs = virial_linear_identity(state)
         worst_rel = max(worst_rel, abs(lhs - rhs) / (1.0 + abs(rhs)))
 
-    audit_grid = Grid(n=2048, dx=0.1, x_min=-102.4)
-    config = IntegratorConfig(dt=2e-3, t_end=10.0, sample_stride=50)
-    margin_min = math.inf
-    for k in range(10):
-        dv, dw = random_smooth_pair(audit_grid, 0.01, 7 + k, max_mode=8,
-                                    sigma=audit_grid.period / 10.0)
-        traj = evolve(HydroState.from_arrays(audit_grid, dv, dw), config)
-        assert traj.error is None, traj.error
-        for state in traj.states:
-            margin = virial_rate(state) - 0.25 * x_norm(state) ** 2
-            margin_min = min(margin_min, margin)
+    # the shipped audit at its defaults: ll-lab virial-audit
+    report, _ = run_virial_audit(0.01, 7, 10, 10.0)
+    assert report.error is None, report.error
+    assert len(report.verdicts) == 10
+    margin_min = min(v.measured for v in report.verdicts)
     _verdict("AC04 virial identity + coercivity",
              worst_rel <= 1e-9 and margin_min >= 0.0,
              f"identity mismatch {worst_rel:.3e} <= 1e-09, "

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ll_lab import (ChiCache, Grid, HessianOperator, HydroState, IntegratorConfig,
                     ModulationError, MultiSolitonConfig, RealField, SolitonParams,
-                    Trajectory, evolve, grad_EP, hessian_apply, integrate, modulate,
+                    Trajectory, evolve, hessian_apply, integrate, modulate,
                     multi_soliton_sum, negative_mode, soliton_hydro, track_modulation,
                     write_table, x_norm)
 from ll_lab import modulation
@@ -147,8 +147,8 @@ class TestHessianOperator:
         d = 1e-5 * math.sqrt(integrate(v0 * v0 + w0 * w0, self.grid)) / pair_l2(h)
         plus = HydroState.from_arrays(self.grid, v0 + d * h[0].values, w0 + d * h[1].values)
         minus = HydroState.from_arrays(self.grid, v0 - d * h[0].values, w0 - d * h[1].values)
-        (gp1, gp2), _ = grad_EP(plus)
-        (gm1, gm2), _ = grad_EP(minus)
+        (gp1, gp2), _ = modulation_oracle.grad_EP(plus)
+        (gm1, gm2), _ = modulation_oracle.grad_EP(minus)
         fd1 = (gp1.values - gm1.values) / (2.0 * d) - c * h[1].values
         fd2 = (gp2.values - gm2.values) / (2.0 * d) - c * h[0].values
         out = hessian_apply(op, h)
@@ -205,7 +205,7 @@ class TestGradEP:
         v, w = soliton_hydro(0.5, grid.x)
         state = HydroState.from_arrays(grid, v, w)
         hv, hw = random_smooth_pair(grid, amplitude=0.02, seed=5)
-        gradE, gradP = grad_EP(state)
+        gradE, gradP = modulation_oracle.grad_EP(state)
         d = 1e-6
         plus = HydroState.from_arrays(grid, v + d * hv, w + d * hw)
         minus = HydroState.from_arrays(grid, v - d * hv, w - d * hw)
@@ -228,7 +228,7 @@ class TestGradEP:
         for c in (0.4, -0.7):
             v, w = soliton_hydro(c, grid.x)
             state = HydroState.from_arrays(grid, v, w)
-            gradE, gradP = grad_EP(state)
+            gradE, gradP = modulation_oracle.grad_EP(state)
             r1 = gradE[0].values - c * gradP[0].values
             r2 = gradE[1].values - c * gradP[1].values
             assert math.sqrt(integrate(r1 * r1 + r2 * r2, grid)) < 1e-8

@@ -63,8 +63,9 @@ def test_traced_round_counts_every_layer(tmp_path):
 
 
 def test_traced_modulate_track_counts_one_track(tmp_path):
-    """The tracer rebinds ``cli.track_modulation``; one modulate-track round
-    is one traced call that sees every snapshot."""
+    """The tracer rebinds ``scenarios.track_modulation``, which
+    ``run_track`` calls; one modulate-track round is one traced call that
+    sees every snapshot."""
     grid = Grid(n=512, dx=0.1, x_min=-25.6)
     guess = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
     traj = evolve(multi_soliton_sum(guess, grid),

@@ -109,6 +109,10 @@ MALFORMED = [
     ({"solitons__params": [{"c": 0.5, "a": -15.0}, {"c": 0.3, "a": 15.0}],
       "solitons__min_separation": 30.0},
      "config.solitons.params: speeds must be strictly increasing"),
+    # 200 apart on the line, 4.8 apart through the seam of the period-204.8 torus
+    ({"solitons__params": [{"c": -0.4, "a": -100.0, "s": 1}, {"c": 0.4, "a": 100.0, "s": -1}],
+      "solitons__min_separation": 40.0, "grid__n": 2048},
+     "config.solitons.params: gap a_1 + period - a_N = 4.8 through the periodic seam"),
 ]
 
 
@@ -150,7 +154,7 @@ class TestConfigParsing:
     def test_fixed_speed_gammas_interlace(self):
         data = variant(
             solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
-            solitons__min_separation=30.0)
+            solitons__min_separation=30.0, grid__n=1024)
         data["diagnostics"]["gammas"] = [0.0]
         cfg = scenario_from_dict(data)
         assert cfg.diagnostics.gammas == (0.0,)
@@ -170,6 +174,8 @@ class TestConfigParsing:
         assert message.startswith("config.") and message.count("config.") == 1, message
 
 
+# The pairs at +-15 run on n = 1024 (period 102.4): their gap through the
+# periodic seam, period - 30, must reach min_separation 30.
 PAIR = {"params": [{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}], "min_separation": 30.0}
 
 # every config the tests of this module accept
@@ -186,10 +192,11 @@ ACCEPTED = [
     # c = 0.95 at dt = 0.25 dx^2, 0.994 of its step bound
     variant(solitons__params=[{"c": 0.95, "a": 0.0}], grid__n=1024, integrator__dt=0.0025,
             integrator__t_end=10.0),
-    variant(solitons=PAIR, diagnostics__gammas=[0.0]),
-    variant(solitons=PAIR, perturbation__kind="between_bump", perturbation__amplitude=0.05),
+    variant(solitons=PAIR, grid__n=1024, diagnostics__gammas=[0.0]),
+    variant(solitons=PAIR, grid__n=1024, perturbation__kind="between_bump",
+            perturbation__amplitude=0.05),
     variant(solitons__params=[{"c": -0.3, "a": -15.0}, {"c": 0.3, "a": 15.0}],
-            solitons__min_separation=30.0, perturbation__kind="between_bump",
+            solitons__min_separation=30.0, grid__n=1024, perturbation__kind="between_bump",
             perturbation__amplitude=1.2),
 ]
 
@@ -297,7 +304,7 @@ class TestBuildInitial:
     def test_between_bump_sits_at_midpoint(self):
         data = variant(
             solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
-            solitons__min_separation=30.0,
+            solitons__min_separation=30.0, grid__n=1024,
             perturbation__kind="between_bump",
             perturbation__amplitude=0.05)
         cfg = scenario_from_dict(data)
@@ -316,7 +323,7 @@ class TestBuildInitial:
                        perturbation__amplitude=0.9,
                        solitons__params=[{"c": -0.3, "a": -15.0},
                                          {"c": 0.3, "a": 15.0}],
-                       solitons__min_separation=30.0)
+                       solitons__min_separation=30.0, grid__n=1024)
         cfg = scenario_from_dict(data)
         # amplitude 0.9 on top of tails stays below 1; push it over instead
         data["perturbation"]["amplitude"] = 1.2
@@ -555,7 +562,7 @@ class TestRunScenario:
     def test_guess_cells_solved_before_evolve(self, monkeypatch):
         """The chi nodes of the guess speeds' cells are solved before evolve
         starts, once each, and the report lists them."""
-        cfg = scenario_from_dict(variant(solitons=PAIR))
+        cfg = scenario_from_dict(variant(solitons=PAIR, grid__n=1024))
         step = modulation.CHI_LATTICE_STEP
         probe = ChiCache(cfg.grid)
         for c in cfg.solitons.speeds:
@@ -610,7 +617,7 @@ class TestRunScenario:
     def test_fixed_speed_paths(self):
         data = variant(
             solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
-            solitons__min_separation=30.0)
+            solitons__min_separation=30.0, grid__n=1024)
         data["diagnostics"]["gammas"] = [0.0]
         report = run_scenario(scenario_from_dict(data))
         assert report.error is None
