@@ -22,8 +22,10 @@ counters, chi_nodes, threads, error).  Exit codes:
   lost at some snapshot (the report and the rows before it are written) or
   a verdict fails; 2 for a missing or unreadable trajectory or guess file
   (a trajectory cut inside its header, error string or records, or one
-  with no snapshots, included), with nothing written.  The guess file is a
-  scenario's ``solitons`` section, read as strictly as a scenario config.
+  with no snapshots, included), or a guess of two or more solitons closer
+  than its min_separation through the seam of the trajectory's grid, with
+  nothing written.  The guess file is a scenario's ``solitons`` section,
+  read as strictly as a scenario config.
 - ``virial-audit``: 0 when every run keeps U' >= 1/4 ||.||_X^2; 1 when a
   run breaks down (the runs before it are written) or a margin is negative;
   2 for an invalid option (a non-finite number included), or a run whose

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -363,12 +364,14 @@ class ChiCache:
     the two nearest admissible nodes of the same sign are used (linear
     extrapolation).  The interpolant is not renormalized; its L^2 norm is
     1 - O(h^2), and the orthogonality conditions are homogeneous in chi.
-    ``nodes`` lists the solves, at the positive nodes, by speed.
+    ``nodes`` lists the solves, at the positive nodes, by speed, and
+    ``served`` counts the lookups of each cell [c_k, c_k+1] by k.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.center = grid.x_min + 0.5 * grid.period
+        self.served: Counter[int] = Counter()
         self._nodes: dict[int, tuple[NegativeMode, np.ndarray]] = {}
         self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -392,6 +395,7 @@ class ChiCache:
 
     def _cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(chi spectrum at c_k, slope) of the cell [c_k, c_k+1]."""
+        self.served[k] += 1   # before the solves, so a failed one counts too
         cell = self._cells.get(k)
         if cell is None:
             lo, hi = self._spectrum(k), self._spectrum(k + 1)
@@ -732,9 +736,9 @@ class ModulationTrack:
     the rows stop just before that snapshot.  ``condition_evals``,
     ``backtracks`` and ``jacobian_builds`` total the counts of the
     decomposed snapshots (see :class:`ModulationResult`), and
-    ``chi_nodes`` lists the negative-mode solves of the whole track by node
-    speed, each with its Rayleigh quotient, its eigen-residual and its
-    Davidson iterations: one per |c_k| the track visits, at the positive
+    ``chi_nodes`` lists by node speed the nodes of the cells the track's
+    lookups used, each with its Rayleigh quotient, its eigen-residual and
+    its Davidson iterations: one per |c_k| the track visits, at the positive
     node, whose mirror image serves the node -|c_k|.
     """
 
@@ -786,18 +790,17 @@ class ModulationTrack:
 def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
                      chi: Optional[ChiCache] = None) -> ModulationTrack:
     """Run the Newton decomposition at every snapshot, sharing one
-    :class:`ChiCache`: ``chi`` when given (it must be on the trajectory's
-    grid), else a new one.  Each solve after the first starts from a
+    :class:`ChiCache`: ``chi`` when given (one on another grid raises
+    ValueError), else a new one.  Each solve after the first starts from a
     predictor: the previous speeds c_j and the previous centers advanced by
     c_j times the time step between the snapshots, and from the Jacobian the
     previous solve ended on, so that the exact Jacobian is built only where
     a carried step falls short (:func:`_modulate_raw`).
 
-    A given cache may hold only nodes of the guess speeds' cells, which the
-    first residual pass looks up, as a new cache or one prepared for those
-    speeds by :meth:`ChiCache.prepare` does; any other node raises
-    ValueError.  So ``chi_nodes``, every node the cache holds at the end,
-    are the nodes of the cold track.
+    ``chi_nodes``, and so ``chi_solves`` and ``davidson_iters``, are the
+    nodes of the cells its residual passes looked up (those whose
+    ``ChiCache.served`` count it raised): chi depends on the speed alone, so
+    a new, a prepared and a reused cache give the same report.
 
     Tracking stops at the first snapshot that cannot be decomposed (a
     :class:`ModulationError`, or a :class:`VacuumBreakdown` of the snapshot
@@ -811,10 +814,7 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
         chi = ChiCache(grid)
     elif chi.grid != grid:
         raise ValueError(f"chi cache is on {chi.grid}, the trajectory on {grid}")
-    elif not set(chi._nodes) <= {abs(k + j) for k in map(chi._cell_index, guess.speeds)
-                                 for j in (0, 1)}:
-        raise ValueError(f"chi cache holds nodes at {[m.c for m in chi.nodes]}, "
-                         "off the guess speeds' cells")
+    before = chi.served.copy()
     nsol = guess.n_solitons
     times = np.asarray(traj.times, dtype=float)
     speeds = np.empty((len(traj), nsol))
@@ -853,6 +853,8 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
         builds += result.jacobian_builds
         warm_speeds = result.speeds
         warm_centers = result.centers
+    # the node speeds of the cells this track looked up, as _spectrum makes them
+    used = {abs(k + j) * CHI_LATTICE_STEP for k in chi.served - before for j in (0, 1)}
     return ModulationTrack(times=times[:done], speeds=speeds[:done], centers=centers[:done],
                            eps_norms=eps_norms[:done], orthogonality=ortho[:done],
                            newton_iters=iters[:done], error=error,
@@ -861,4 +863,4 @@ def track_modulation(traj: Trajectory, guess: MultiSolitonConfig,
                            chi_nodes=tuple({"c": mode.c, "rayleigh": mode.rayleigh,
                                             "residual": mode.residual,
                                             "iterations": mode.iterations}
-                                           for mode in chi.nodes))
+                                           for mode in chi.nodes if mode.c in used))

@@ -16,9 +16,9 @@ tracked soliton paths, snapshot by snapshot.  It then turns the recorded
 series into pass/fail verdicts.  The warm-up solves the cells that the
 track's first decomposition looks up, so the eigensolver's working set of
 those solves is freed before the trajectory is allocated.
-A track lost mid-run keeps its rows when it has two or more, and the
-diagnostics stop where it stops.  A track lost before its second row is
-dropped whole, with its counters and chi nodes: its rates need two rows.
+A track lost mid-run keeps its rows, counters and chi nodes, however few
+its rows, as ``run_track``'s does, and the diagnostics follow every
+tracked row; only the track verdicts, which need rates, ask for two rows.
 
 A run's diagnostics are one dict of named columns, keyed by the
 diagnostics.csv header names in header order, and the verdicts read those
@@ -153,14 +153,7 @@ class ScenarioConfig:
                 f"perturbation.index: {self.perturbation.index} out of range for {nsol} solitons")
         if self.perturbation.kind == "between_bump" and nsol < 2:
             raise ConfigError("perturbation.kind: between_bump needs at least two solitons")
-        if nsol >= 2:
-            # on the torus the last soliton's next neighbour is the first
-            params = self.solitons.params
-            wrap_gap = params[0].a + self.grid.period - params[-1].a
-            if wrap_gap < self.solitons.min_separation:
-                raise ConfigError(
-                    f"solitons.params: gap a_1 + period - a_N = {wrap_gap:g} through the "
-                    f"periodic seam is below min_separation {self.solitons.min_separation}")
+        _check_seam(self.solitons, self.grid.period, "solitons.params")
         # the step bound at the soliton sum's margin; the spin frame keeps m = 1
         try:
             margin = multi_soliton_sum(self.solitons, self.grid).vacuum_margin()
@@ -185,6 +178,22 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         """Echo of the config in the JSON schema (used in report.json)."""
         return asdict(self)
+
+
+def _wrap_gap(centers: np.ndarray, period: float) -> np.ndarray:
+    """The gap a_1 + period - a_N through the periodic seam, for centers
+    with the solitons on the last axis: on the torus the last soliton's next
+    neighbour is the first."""
+    return centers[..., 0] + period - centers[..., -1]
+
+
+def _check_seam(solitons: MultiSolitonConfig, period: float, where: str) -> None:
+    """ConfigError, naming ``where``, when two or more solitons start
+    closer than min_separation through the seam of a torus of ``period``."""
+    gap = _wrap_gap(solitons.centers, period)
+    if solitons.n_solitons >= 2 and gap < solitons.min_separation:
+        raise ConfigError(f"{where}: gap a_1 + period - a_N = {gap:g} through the "
+                          f"periodic seam is below min_separation {solitons.min_separation}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +385,10 @@ class RunReport:
     ``name`` names the output directory, and ``config`` echoes the run's
     inputs as JSON.  ``diagnostics`` holds the diagnostics.csv columns by
     header name, in header order (empty for a run without them), and
-    ``track`` the modulation parameters that feed modulation.csv; the
-    track's work counts are the report's ``counters`` and its negative-mode
-    solves its ``chi_nodes``, both empty for a run without a track.  ``threads`` records each of
-    THREAD_VARIABLES as the process saw it, None when unset.
+    ``track`` the modulation parameters that feed modulation.csv; its work
+    counts and the nodes its lookups used are the report's ``counters`` and
+    ``chi_nodes``, both empty for a run without a track.  ``threads``
+    records each of THREAD_VARIABLES as the process saw it, None when unset.
     """
 
     name: str
@@ -517,12 +526,11 @@ def _rate_fd_check(cfg: ScenarioConfig, times: np.ndarray, states: Sequence,
 
 
 def _build_verdicts(cfg: ScenarioConfig, diag: Mapping[str, np.ndarray],
-                    track: Optional[ModulationTrack],
+                    track: ModulationTrack,
                     rate_fd_err: Optional[float], nu: float) -> list[Verdict]:
     """The verdicts of a run, from the diagnostics columns ``diag`` (empty
-    without a track), the track, and the rate check's worst error.  A track
-    lost before its second row is None here, but a clean run to t_end = 0
-    keeps its one row, so the track verdicts still ask for two rows."""
+    for a track without rows), the track, and the rate check's worst
+    error.  The track verdicts read rates, so they ask for two rows."""
     verdicts: list[Verdict] = []
     nsol = cfg.solitons.n_solitons
     alpha = cfg.perturbation.amplitude
@@ -534,7 +542,7 @@ def _build_verdicts(cfg: ScenarioConfig, diag: Mapping[str, np.ndarray],
         verdicts.append(Verdict("energy_drift", e_drift <= 1e-8, e_drift, 1e-8))
         verdicts.append(Verdict("momentum_drift", p_drift <= 1e-8, p_drift, 1e-8))
 
-    if track is not None and len(track.times) >= 2:
+    if len(track.times) >= 2:
         if nsol == 1 and cfg.perturbation.kind == "none":
             t_span = float(track.times[-1] - track.times[0])
             predicted = track.centers[0, 0] + cfg.solitons.speeds[0] * t_span
@@ -545,7 +553,9 @@ def _build_verdicts(cfg: ScenarioConfig, diag: Mapping[str, np.ndarray],
             verdicts.append(Verdict("eps_sup", sup_eps <= 10.0 * alpha,
                                     sup_eps, 10.0 * alpha))
         if nsol >= 2:
-            gaps = np.diff(track.centers, axis=1)
+            # per row, the line gaps and the wrap gap through the seam
+            gaps = np.column_stack([np.diff(track.centers, axis=1),
+                                    _wrap_gap(track.centers, cfg.grid.period)])
             min_gap = float(np.min(gaps))
             bound = cfg.solitons.min_separation - 1.0
             verdicts.append(Verdict("ordering_gap", min_gap >= bound, min_gap, bound))
@@ -609,11 +619,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         error = f"dynamics: {traj.error}"
 
     t0 = time.perf_counter()
-    track: Optional[ModulationTrack] = track_modulation(traj, cfg.solitons, chi)
+    track = track_modulation(traj, cfg.solitons, chi)
     if track.error is not None:
         error = error or f"modulation: {track.error}"
-        if len(track.times) < 2:  # rate estimates need at least two tracked snapshots
-            track = None
     timings["track"] = warm_up + time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -622,7 +630,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     nu = float(np.min(np.sqrt(1.0 - speeds * speeds)))
     diag: dict[str, np.ndarray] = {}
     rate_fd_err: Optional[float] = None
-    if track is not None:
+    if len(track.times):
         paths, rates = _paths(cfg, track)
         # the track's rows are the snapshots the diagnostics cover
         diag = _collect_diagnostics(cfg, track.times, traj.states, paths, nu)
@@ -641,8 +649,10 @@ def run_track(trajectory_path, guess_path) -> RunReport:
     section) and judge the Newton iteration count and the orthogonality.
 
     The report is named after the trajectory file's stem and echoes both
-    paths.  A bad guess, or a trajectory file that is missing, unreadable
-    or empty, raises ConfigError; a lost decomposition is recorded.
+    paths.  A bad guess (one whose solitons start closer than
+    min_separation through the seam of the trajectory's grid included), or
+    a trajectory file that is missing, unreadable or empty, raises
+    ConfigError; a lost decomposition is recorded.
     """
     guess = load_config(MultiSolitonConfig, guess_path)
     if not Path(trajectory_path).is_file():
@@ -653,6 +663,7 @@ def run_track(trajectory_path, guess_path) -> RunReport:
         raise ConfigError(f"{trajectory_path}: {exc}") from exc
     if len(traj) == 0:
         raise ConfigError(f"{trajectory_path}: trajectory holds no snapshots")
+    _check_seam(guess, traj.grid.period, str(guess_path))
 
     t0 = time.perf_counter()
     track = track_modulation(traj, guess)

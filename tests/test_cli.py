@@ -350,6 +350,20 @@ class TestModulateTrack:
             assert node["rayleigh"] < 0.0
             assert node["residual"] <= 2e-7
 
+    def test_guess_through_the_seam_exit_two(self, tmp_path, capsys):
+        """A pair guess 30 apart on the line but 21.2 apart through the seam
+        of the trajectory's period-51.2 grid, below its min_separation 22,
+        is refused as ``simulate`` refuses such a scenario."""
+        guess = tmp_path / "pair.json"
+        guess.write_text(json.dumps({"params": [{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
+                                     "min_separation": 22.0}))
+        out = tmp_path / "out"
+        assert main(["modulate-track", str(self._trajectory_file(tmp_path)), str(guess),
+                     "--out", str(out)]) == 2
+        assert (f"{guess}: gap a_1 + period - a_N = 21.2 through the periodic seam is below "
+                f"min_separation 22.0") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trajectory_exit_two(self, tmp_path, capsys):
         missing = tmp_path / "absent.traj"
         out = tmp_path / "out"

@@ -613,22 +613,29 @@ class TestTrackModulation:
         with pytest.raises(ValueError, match="chi cache is on"):
             track_modulation(traj, SPLICE_PAIR, ChiCache(other))
 
-    def test_cache_with_nodes_off_the_guess_cells_rejected(self):
+    def test_used_cache_gives_the_cold_report(self):
         """A cache that served c = 0.605 holds the nodes 0.6 and 0.62, which
-        a c = 0.5 track does not look up: the track refuses it rather than
-        list those nodes in its ``chi_nodes``.  A new cache gives the two
-        nodes of the cell of 0.5."""
+        a c = 0.5 track does not look up: the track lists only the nodes of
+        the cells it looked up, so it reports the two nodes of the cell of
+        0.5 and ``chi_solves`` 2, as a new cache does.  Run again on that
+        cache, which now solves nothing, the track reports them again."""
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
         cfg = MultiSolitonConfig((SolitonParams(0.5, 0.0),), min_separation=10.0)
         traj = evolve(multi_soliton_sum(cfg, grid),
                       IntegratorConfig(dt=1e-3, t_end=0.5, sample_stride=250))
-        used = ChiCache(grid)
-        used.mode_for(0.605)
-        with pytest.raises(ValueError, match="off the guess speeds' cells"):
-            track_modulation(traj, cfg, used)
         cold = track_modulation(traj, cfg)
         assert [node["c"] for node in cold.chi_nodes] == [0.5, 0.52]
         assert cold.counters["chi_solves"] == 2
+        used = ChiCache(grid)
+        used.mode_for(0.605)
+        for _ in range(2):
+            track = track_modulation(traj, cfg, used)
+            for name in ("times", "speeds", "centers", "eps_norms", "orthogonality",
+                         "newton_iters"):
+                assert getattr(track, name).tobytes() == getattr(cold, name).tobytes(), name
+            assert track.counters == cold.counters
+            assert track.chi_nodes == cold.chi_nodes
+        assert [node.c for node in used.nodes] == [0.5, 0.52, 0.6, 0.62]
 
     def test_empty_trajectory_rejected(self):
         grid = Grid(n=1024, dx=0.1, x_min=-51.2)
@@ -669,6 +676,15 @@ class TestChiCache:
         cache.mode_for(0.625)
         assert len(cache.nodes) == 3
         assert sum(node.iterations for node in cache.nodes) >= len(cache.nodes)
+
+    def test_served_counts_each_lookup(self):
+        """``served`` counts every lookup of a cell by its k, those of
+        ``prepare`` included, whether or not the lookup solved a node."""
+        cache = ChiCache(self.grid)
+        for c in (0.605, 0.617, 0.625, -0.41):
+            cache.mode_for(c)
+        cache.prepare((0.605,))
+        assert cache.served == {30: 3, 31: 1, -21: 1}
 
     @pytest.mark.parametrize("order", [(-0.41, 0.41), (0.41, -0.41)])
     def test_lookup_order_does_not_matter(self, order):
@@ -732,6 +748,7 @@ class TestChiCache:
         cache = ChiCache(self.grid)
         cache.prepare((-0.41, 0.605))
         assert calls == [pytest.approx(0.42)] and cache.nodes == []
+        assert cache.served == {-21: 1}
 
     def test_mirrored_node_is_certified(self):
         """The spectrum of a node c_k < 0 is that of S chi_{|c_k|}, equal bit

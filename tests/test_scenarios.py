@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from ll_lab import (ChiCache, ConfigError, Grid, HydroState, IntegratorConfig,
                     ModulationError, MultiSolitonConfig, SolitonParams, evolve, integrate,
-                    load_scenario, modulation, multi_soliton_sum, run_scenario,
-                    scenario_from_dict, scenarios, write_report, write_table, x_norm)
+                    load_scenario, modulation, multi_soliton_sum, run_scenario, run_track,
+                    save_trajectory, scenario_from_dict, scenarios, write_report,
+                    write_table, x_norm)
 from ll_lab.dynamics import STEP_SAFETY
 from ll_lab.scenarios import (DiagnosticsConfig, Perturbation, ScenarioConfig,
                               _monotonicity_defect, build_initial, load_config,
@@ -529,10 +530,11 @@ class TestRunScenario:
         assert len(columns["diagnostics.csv"]) == 53
         assert columns["diagnostics.csv"] == columns["modulation.csv"]
 
-    def test_track_lost_at_second_snapshot_is_dropped(self, monkeypatch):
-        """A track lost at its second snapshot has one row, too few for
-        rates: the report drops it whole, with its diagnostics, counters and
-        chi nodes, and keeps the error."""
+    def test_track_lost_at_second_snapshot_is_kept(self, monkeypatch, tmp_path):
+        """A track lost at its second snapshot keeps its one row, with its
+        diagnostics row, counters and chi nodes, as ``run_track`` keeps the
+        same track of the same saved trajectory; its rates need two rows, so
+        no track verdict is taken."""
         decompose = modulation._modulate_raw
         calls = []
 
@@ -543,12 +545,26 @@ class TestRunScenario:
             return decompose(*args, **kwargs)
 
         monkeypatch.setattr(modulation, "_modulate_raw", second_fails)
-        report = run_scenario(scenario_from_dict(BASE))
+        cfg = scenario_from_dict(BASE)
+        report = run_scenario(cfg)
         assert report.error == "modulation: at t = 0.25: lost here"
-        assert report.track is None and report.diagnostics == {}
-        assert report.verdicts == ()
+        assert len(report.track.times) == 1
+        assert list(report.diagnostics["t"]) == [0.0]
+        assert {v.name for v in report.verdicts} == {"energy_drift", "momentum_drift",
+                                                     "monotonicity_y5"}
         payload = report.to_dict()
-        assert payload["counters"] == {} and payload["chi_nodes"] == []
+        assert payload["counters"]["newton_iters"] == int(report.track.newton_iters[0])
+        assert payload["counters"]["chi_solves"] == len(payload["chi_nodes"]) == 2
+
+        save_trajectory(evolve(build_initial(cfg), cfg.integrator), tmp_path / "tiny.lltraj")
+        (tmp_path / "guess.json").write_text(json.dumps(BASE["solitons"]))
+        calls.clear()
+        tracked = run_track(tmp_path / "tiny.lltraj", tmp_path / "guess.json")
+        assert tracked.error == "at t = 0.25: lost here"
+        for name, column in report.track.columns.items():
+            assert column.tobytes() == tracked.track.columns[name].tobytes(), name
+        assert tracked.to_dict()["counters"] == payload["counters"]
+        assert tracked.to_dict()["chi_nodes"] == payload["chi_nodes"]
 
     def _spy_evolve(self, monkeypatch, events):
         run = scenarios.evolve
@@ -601,7 +617,27 @@ class TestRunScenario:
         assert report.error.startswith("modulation: at t = 0: refused at c = "), report.error
         assert events == ["evolve"]
         assert list(report.timings) == ["build", "evolve", "track", "diagnostics", "total"]
-        assert report.track is None
+        assert len(report.track.times) == 0 and report.diagnostics == {}
+        assert report.verdicts == ()
+        assert set(report.track.counters.values()) == {0} and report.track.chi_nodes == ()
+
+    def test_ordering_gap_reads_the_wrap_gap(self):
+        """On the period-51.2 torus a pair at -+15 moving apart at -+0.4
+        starts 30 apart on the line and 21.2 through the seam; by T = 3 the
+        wrap gap a_1 + period - a_2 has closed to 18.8, below the bound
+        min_separation - 1 = 19, while the line gap has opened to 32.4."""
+        cfg = scenario_from_dict(variant(
+            solitons__params=[{"c": -0.4, "a": -15.0}, {"c": 0.4, "a": 15.0}],
+            solitons__min_separation=20.0, integrator__t_end=3.0, diagnostics__y0_list=[]))
+        report = run_scenario(cfg)
+        assert report.error is None
+        centers = report.track.centers
+        wrap = centers[:, 0] + cfg.grid.period - centers[:, 1]
+        assert np.min(centers[:, 1] - centers[:, 0]) > 29.9
+        gap = {v.name: v for v in report.verdicts}["ordering_gap"]
+        assert gap.measured == np.min(wrap) == wrap[-1]
+        assert gap.measured == pytest.approx(18.8, abs=1e-6)
+        assert not gap.passed and gap.threshold == 19.0
 
     def test_write_report_layout(self, tmp_path):
         report = run_scenario(scenario_from_dict(BASE))

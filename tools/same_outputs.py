@@ -16,11 +16,12 @@ exported, else 1.
 
 The suite is ``simulate`` on a hydro pair, a sector-0 spin pair, a sector-1
 spin soliton, a pair with fixed-speed paths and a pair pushed along its
-faster soliton's negative direction (and on the three shipped configs in
-the full suite); a saved pair trajectory, that trajectory saved again after
-a load, and ``modulate-track`` on it; the saved trajectory of the
-negative-direction pair and ``modulate-track`` on it, the path of the
-benchmark's track-chi workload; ``virial-audit``; and ``soliton-table``.
+faster soliton's negative direction (and, in the full suite, on the three
+shipped configs and on a spin soliton whose track is lost at t = 2.65);
+a saved pair trajectory, that trajectory saved again after a load, and
+``modulate-track`` on it; the saved trajectory of the negative-direction
+pair and ``modulate-track`` on it, the path of the benchmark's track-chi
+workload; ``virial-audit``; and ``soliton-table``.
 Both trees load and track the trajectories the revision saved, so reading
 and tracking are compared on one input.
 ``--quick`` shortens the runs (T = 1, one virial run to T = 0.5) to a few
@@ -97,7 +98,18 @@ def scenarios(quick: bool) -> list[dict]:
                 "diagnostics": {"y0_list": [5.0, -10.0], "window_half_width": 8.0}}
                for name, frame, solitons in cases]
     configs[-1]["diagnostics"]["gammas"] = [0.0]
-    return configs + [chi_pair(quick)]
+    return configs + [chi_pair(quick)] + ([] if quick else [lost_track()])
+
+
+def lost_track() -> dict:
+    """A spin soliton pushed along its negative direction until its track
+    is lost at t = 2.65, so the report keeps a cut track."""
+    return {"name": "lost-track", "frame": "spin",
+            "solitons": {"params": [{"c": 0.3, "a": 0.0}], "min_separation": 10.0},
+            "perturbation": {"kind": "chi_direction", "amplitude": 0.4},
+            "grid": {"n": 512, "dx": 0.1},
+            "integrator": {"dt": 1e-3, "t_end": 3.0, "sample_stride": 50},
+            "diagnostics": {"y0_list": [5.0], "window_half_width": 5.0}}
 
 
 def _run(tree: Path, side: Path, name: str, argv: list[str]) -> int:
